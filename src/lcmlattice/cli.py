@@ -25,7 +25,7 @@ from .doublechain import decompose_chains, generates_double_chain, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
 from .families import DEFAULT_SEARCH_UNIVERSES, BadParamsError, classical_set, \
     cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
-    search_max_iplus, squarefree_pairs_family, triple_prime_family, _is_prime
+    search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, build_poset, gcd_closure, to_dot
 from .matrices import NotGcdClosedError, determinant_exact, determinant_via_psi, \
     inertia_charpoly_oracle, inertia_from_psi, lcm_matrix, psi, structural_inertia
@@ -54,11 +54,13 @@ def _read_elements(ns: argparse.Namespace) -> list[int]:
         tokens.extend(part.replace(",", " ").split())
     if not tokens:
         raise ValueError("no elements given (pass integers, --file, or '-')")
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        bad = next(t for t in tokens if not t.lstrip("-").isdigit())
-        raise ValueError(f"not an integer: {bad!r}") from None
+    values = []
+    for t in tokens:
+        try:
+            values.append(int(t))
+        except ValueError:
+            raise ValueError(f"not an integer: {t!r}") from None
+    return values
 
 
 def _build_report(p: DivisorPoset, original: Sequence[int],
@@ -276,7 +278,7 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     elif ns.max_prime is not None:
         prod = 1
         for v in range(2, ns.max_prime + 1):
-            if _is_prime(v):
+            if is_prime(v):
                 prod *= v
         universes = (prod,)
     else:

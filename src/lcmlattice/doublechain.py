@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .lattice import (
     DivisorPoset,
     SubPoset,
-    has_antichain_3,
     meet_closure,
 )
 
@@ -61,69 +60,55 @@ def core_set(p: DivisorPoset, i: int) -> SubPoset:
 
 def generates_double_chain(p: DivisorPoset, i: int) -> bool:
     """True when the core of x_i has no antichain of three (width at most 2)."""
-    return not has_antichain_3(core_set(p, i))
+    return _split_into_chains(p, core_set(p, i)) is not None
 
 
 def _is_chain(p: DivisorPoset, seq: tuple[int, ...]) -> bool:
     return all(p.leq(a, b) for a, b in zip(seq, seq[1:]))
 
 
-def _split_into_chains(p: DivisorPoset, core: SubPoset) -> tuple[list[int], list[int]]:
-    """Partition a width-<=2 core into two chains, bottom-up.
+def _split_into_chains(p: DivisorPoset, core: SubPoset
+                       ) -> tuple[list[int], list[int]] | None:
+    """Split a core into chains A and B bottom-up; None when its width exceeds 2.
 
-    The core's minimum starts chain A.  At each step the remaining minimal
-    elements (never more than two, or the width bound would fail) are placed:
-    an element that fits only one chain goes there first, ascending ties go
-    to A.  Feasibility is guaranteed by the width bound; any violation below
-    is a genuine bug, hence the bare asserts.
+    Each step places the minimal elements of what remains: one goes to A if
+    it fits, else to B; two (ascending) go to A and B, else swapped; three
+    are an antichain.  Every feasible placement leaves the same pair of chain
+    tops, so the pass fails only when no two-chain partition exists.  The
+    core's minimum is placed first, so it starts chain A.
     """
-    members = list(core.members)
-    if not members:
-        return [], []
-    chain_a: list[int] = [members[0]]
+    chain_a: list[int] = []
     chain_b: list[int] = []
-    unassigned = members[1:]
 
     def fits(chain: list[int], u: int) -> bool:
         return not chain or p.leq(chain[-1], u)
 
-    while unassigned:
-        mins = [u for u in unassigned
-                if not any(v != u and p.leq(v, u) for v in unassigned)]
-        assert 1 <= len(mins) <= 2, "width bound violated during chain split"
+    rest = core._mask
+    while rest:
+        mins = [u for u in core.members
+                if rest >> u & 1 and p._down[u] & rest == 1 << u]
         if len(mins) == 1:
             u = mins[0]
             if fits(chain_a, u):
                 chain_a.append(u)
-            else:
-                assert fits(chain_b, u), "unplaceable element in width-2 core"
+            elif fits(chain_b, u):
                 chain_b.append(u)
-            unassigned.remove(u)
+            else:
+                return None
+        elif len(mins) == 2:
+            u, w = mins
+            if fits(chain_a, u) and fits(chain_b, w):
+                chain_a.append(u)
+                chain_b.append(w)
+            elif fits(chain_a, w) and fits(chain_b, u):
+                chain_a.append(w)
+                chain_b.append(u)
+            else:
+                return None
         else:
-            u, w = mins  # ascending, pairwise incomparable
-            u_a, u_b = fits(chain_a, u), fits(chain_b, u)
-            w_a, w_b = fits(chain_a, w), fits(chain_b, w)
-            if u_a and u_b and w_a and w_b:
-                chain_a.append(u)
-                chain_b.append(w)
-            elif u_a and not u_b:
-                assert w_b, "unplaceable element in width-2 core"
-                chain_a.append(u)
-                chain_b.append(w)
-            elif u_b and not u_a:
-                assert w_a, "unplaceable element in width-2 core"
-                chain_b.append(u)
-                chain_a.append(w)
-            elif w_a and not w_b:
-                assert u_b, "unplaceable element in width-2 core"
-                chain_a.append(w)
-                chain_b.append(u)
-            else:
-                assert w_b and u_a, "unplaceable element in width-2 core"
-                chain_b.append(w)
-                chain_a.append(u)
-            unassigned.remove(u)
-            unassigned.remove(w)
+            return None
+        for u in mins:
+            rest ^= 1 << u
     return chain_a, chain_b
 
 
@@ -135,9 +120,11 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
     c = p.covered(i)
     closed = meet_closure(p, c)
     core = SubPoset(p, set(closed) - set(c))
-    if has_antichain_3(core):
+    split = _split_into_chains(p, core)
+    if split is None:
         raise NotDoubleChainGeneratorError(
             f"element {p.elements[i]}: core of its covered set has width > 2")
+    chain_a, chain_b = split
 
     closure_sp = SubPoset(p, closed)
     attach: dict[int, list[int]] = {m: [] for m in core.members}
@@ -151,7 +138,6 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
             assert doubly is None, "two doubly-attached elements found"
             doubly = z
 
-    chain_a, chain_b = _split_into_chains(p, core)
     assert _is_chain(p, tuple(chain_a)) and _is_chain(p, tuple(chain_b))
     assert sorted(chain_a + chain_b) == list(core.members)
 

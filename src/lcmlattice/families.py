@@ -23,7 +23,8 @@ class BadParamsError(ValueError):
 DEFAULT_SEARCH_UNIVERSES: tuple[int, ...] = (210, 216)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """True when n is an int prime (bools and values below 2 are not)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
     d = 2
@@ -36,7 +37,7 @@ def _is_prime(n: int) -> bool:
 
 def _require_distinct_primes(values: Sequence[int], what: str) -> None:
     for v in values:
-        if not _is_prime(v):
+        if not is_prime(v):
             raise BadParamsError(f"{what} must be prime, got {v!r}")
     if len(set(values)) != len(values):
         raise BadParamsError(f"{what} must be pairwise distinct: {list(values)}")

@@ -23,6 +23,18 @@ class MeetOutsideSetError(ValueError):
     """A required gcd (meet) of two members is not itself a member."""
 
 
+def _positive_ints(xs: Iterable[int]) -> list[int]:
+    """xs as a list, checked to be non-empty and all positive ints (no bools)."""
+    xs = list(xs)
+    if not xs:
+        raise EmptyInputError("need at least one positive integer")
+    for x in xs:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise NonPositiveElementError(
+                f"elements must be positive integers, got {x!r}")
+    return xs
+
+
 def _bits(mask: int):
     """Yield the set bit positions of a non-negative int, ascending."""
     while mask:
@@ -40,14 +52,7 @@ class DivisorPoset:
     """
 
     def __init__(self, xs: Iterable[int]):
-        xs = list(xs)
-        if not xs:
-            raise EmptyInputError("need at least one positive integer")
-        for x in xs:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                raise NonPositiveElementError(
-                    f"elements must be positive integers, got {x!r}")
-        self.elements: tuple[int, ...] = tuple(sorted(set(xs)))
+        self.elements: tuple[int, ...] = tuple(sorted(set(_positive_ints(xs))))
         self._index = {x: i for i, x in enumerate(self.elements)}
         n = len(self.elements)
 
@@ -167,14 +172,7 @@ def is_gcd_closed(p: DivisorPoset) -> bool:
 
 def gcd_closure(xs: Iterable[int]) -> tuple[int, ...]:
     """Smallest superset of xs closed under pairwise gcd, sorted ascending."""
-    xs = list(xs)
-    if not xs:
-        raise EmptyInputError("need at least one positive integer")
-    for x in xs:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise NonPositiveElementError(
-                f"elements must be positive integers, got {x!r}")
-    have = set(xs)
+    have = set(_positive_ints(xs))
     queue = list(have)
     while queue:
         x = queue.pop()
@@ -247,21 +245,7 @@ def width(sp: SubPoset) -> int:
 
 def has_antichain_3(sp: SubPoset) -> bool:
     """True when the sub-poset contains three pairwise incomparable elements."""
-    mem = sp.members
-    parent = sp.parent
-    k = len(mem)
-
-    def comparable(a: int, b: int) -> bool:
-        return parent.leq(mem[a], mem[b]) or parent.leq(mem[b], mem[a])
-
-    for a in range(k):
-        for b in range(a + 1, k):
-            if comparable(a, b):
-                continue
-            for c in range(b + 1, k):
-                if not comparable(a, c) and not comparable(b, c):
-                    return True
-    return False
+    return width(sp) > 2
 
 
 def to_dot(p: DivisorPoset) -> str:

@@ -110,6 +110,8 @@ class TestAnalyze:
         assert run_cli(["analyze"], capsys)[0] == 1          # nothing given
         assert run_cli(["analyze", "0"], capsys)[0] == 1     # not positive
         assert run_cli(["analyze", "x"], capsys)[0] == 1     # not an integer
+        code, _, err = run_cli(["analyze", "--", "--5"], capsys)
+        assert code == 1 and "error: not an integer: '--5'" in err
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run_cli(["frobnicate"], capsys)[0] == 1

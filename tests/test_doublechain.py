@@ -19,6 +19,7 @@ from lcmlattice import (
     decompose_chains,
     gcd_closure,
     generates_double_chain,
+    incomparable_tops_instance,
     is_a_set,
     is_meet_tree,
     is_r_fold_gcd_closed,
@@ -75,12 +76,24 @@ class TestCoreAndGeneration:
 
 
 class TestDecomposition:
+    # Which chain is A is part of the JSON output.  Beyond a plain example,
+    # these reach the split's two rarer placements: a single minimal element
+    # that fits only chain B, and two minimal elements placed swapped.
+    @pytest.mark.parametrize("elements, top, chain_a, chain_b", [
+        ((1, 2, 3, 4, 6, 9, 36), 36, (1, 2), (3,)),
+        (incomparable_tops_instance().elements, 1531530, (1, 2), (3, 9)),
+        ((1, 2, 3, 9, 10, 38, 69, 70, 99, 117, 170, 669278610), 669278610,
+         (1, 2, 10), (3, 9)),
+    ])
+    def test_chain_labels(self, elements, top, chain_a, chain_b):
+        p = build_poset(elements)
+        d = decompose_chains(p, p.index(top))
+        vals = lambda t: tuple(p.elements[j] for j in t)
+        assert (vals(d.chain_a), vals(d.chain_b)) == (chain_a, chain_b)
+
     def test_frozen_example_with_doubly_attached(self):
         p = build_poset([1, 2, 3, 4, 6, 9, 36])
         d = decompose_chains(p, p.index(36))
-        vals = lambda t: tuple(p.elements[j] for j in t)
-        assert vals(d.chain_a) == (1, 2)
-        assert vals(d.chain_b) == (3,)
         assert {p.elements[k]: v for k, v in d.eta.items()} == {1: 0, 2: 2, 3: 2}
         assert p.elements[d.doubly_attached] == 6
         assert p.elements[d.top_a] == 2 and p.elements[d.top_b] == 3
