@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 
 from .doublechain import decompose_chains, generates_double_chain, is_a_set, \
@@ -27,15 +28,16 @@ from .families import DEFAULT_SEARCH_UNIVERSES, BadParamsError, classical_set, \
     cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, build_poset, gcd_closure, to_dot
-from .matrices import NotGcdClosedError, determinant_exact, determinant_via_psi, \
-    inertia_charpoly_oracle, inertia_from_psi, lcm_matrix, psi, structural_inertia
+from .matrices import NotGcdClosedError, determinant_exact, inertia_charpoly_oracle, \
+    lcm_matrix, psi, structural_inertia
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
 
 DEFAULT_VERIFY_CAP = 64
 
 
 def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    # Decimal prints an int of any length; str(int) stops at CPython's 4300-digit limit.
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def _read_elements(ns: argparse.Namespace) -> list[int]:
@@ -67,11 +69,9 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
                   closure_applied: bool, verify: bool, cap: int) -> dict:
     psis = psi(p)
     per_element = []
-    all_double = True
     for i in range(p.n):
         value = p.elements[i]
         gen = generates_double_chain(p, i)
-        all_double = all_double and gen
         rec: dict = {
             "value": str(value),
             "covers": [str(p.elements[j]) for j in p.covered(i)],
@@ -94,16 +94,17 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         rec["psi_sign"] = "positive" if v > 0 else ("negative" if v < 0 else "zero")
         per_element.append(rec)
 
-    det = determinant_via_psi(p)
+    det = psis.determinant()
     inertia = structural_inertia(p)
     method = "structural"
     if inertia is None:
-        inertia = inertia_from_psi(p)
+        inertia = psis.inertia()
         method = "psi"
     if verify or p.n <= cap:
-        oracle = inertia_charpoly_oracle(lcm_matrix(p))
+        lcm = lcm_matrix(p)
+        oracle = inertia_charpoly_oracle(lcm)
         assert oracle == inertia, "inertia oracle disagreed with sign counts"
-        assert det == determinant_exact(lcm_matrix(p)), \
+        assert det == determinant_exact(lcm), \
             "determinant oracle disagreed with the product formula"
         method = "oracle-verified"
 

@@ -187,7 +187,7 @@ def is_meet_tree(p: DivisorPoset) -> bool:
     """True when the Hasse diagram of the gcd closure of the set is a tree."""
     from .lattice import gcd_closure  # local to avoid polluting module API
 
-    closed = DivisorPoset(gcd_closure(p.elements))
+    closed = p if p.gcd_closed else DivisorPoset(gcd_closure(p.elements))
     edges = sum(len(closed.covered(i)) for i in range(closed.n))
     return edges == closed.n - 1
 

@@ -111,6 +111,16 @@ class PsiVector:
     def __iter__(self):
         return iter(self.values)
 
+    def determinant(self) -> Fraction:
+        """Determinant of the lcm matrix: (prod of Psi) * (prod of elements)^2."""
+        return math.prod(self.values) * math.prod(self.poset.elements) ** 2
+
+    def inertia(self) -> InertiaTriple:
+        """Inertia of the lcm matrix: sign counts of the Psi values (congruence)."""
+        plus = sum(1 for v in self.values if v > 0)
+        minus = sum(1 for v in self.values if v < 0)
+        return InertiaTriple(plus, minus, len(self.values) - plus - minus)
+
 
 @dataclass(frozen=True)
 class InertiaTriple:
@@ -244,13 +254,7 @@ def determinant_exact(m: ExactMatrix) -> Fraction:
 
 def determinant_via_psi(p: DivisorPoset) -> Fraction:
     """Determinant of the lcm matrix as (prod of elements)^2 * (prod of Psi)."""
-    product = Fraction(1)
-    for v in psi(p):
-        product *= v
-    square = 1
-    for x in p.elements:
-        square *= x
-    return product * square * square
+    return psi(p).determinant()
 
 
 def is_invertible(p: DivisorPoset) -> bool:
@@ -260,10 +264,7 @@ def is_invertible(p: DivisorPoset) -> bool:
 
 def inertia_from_psi(p: DivisorPoset) -> InertiaTriple:
     """Inertia of the lcm matrix: sign counts of the Psi values (congruence)."""
-    values = psi(p).values
-    plus = sum(1 for v in values if v > 0)
-    minus = sum(1 for v in values if v < 0)
-    return InertiaTriple(plus, minus, len(values) - plus - minus)
+    return psi(p).inertia()
 
 
 def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:

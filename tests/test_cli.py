@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcmlattice import cli
+import lcmlattice
+from lcmlattice import build_poset, cli, decompose_chains, determinant_via_psi, \
+    divisors, gcd_closure, generates_double_chain, inertia_from_psi, psi, \
+    structural_inertia
 
 CUBE = ["1", "2", "3", "5", "6", "10", "15", "30"]
 
@@ -115,6 +123,23 @@ class TestAnalyze:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run_cli(["frobnicate"], capsys)[0] == 1
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                        reason="this Python runs with no int <-> str digit limit")
+    def test_results_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(["analyze", "--json",
+                                *(str(2 ** k) for k in range(200))], capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = "-" + str(2 ** 19900) + "/1"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert json.loads(out)["determinant"] == expected
+        code, _, err = run_cli(["analyze", "1" * (limit + 1)], capsys)  # input keeps it
+        assert code == 1 and "error: not an integer" in err
 
 
 class TestFamily:
@@ -274,9 +299,11 @@ class TestSearch:
 
 
 def test_console_script_entry_point():
+    # pytest's pythonpath setting does not reach child processes.
+    src = Path(lcmlattice.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "lcmlattice.cli", "analyze", "1", "2", "6"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert "determinant" in proc.stdout
 
@@ -290,3 +317,43 @@ def test_text_and_json_numbers_agree(capsys):
     assert f"+{inertia['plus']} -{inertia['minus']} 0x{inertia['zero']}" in text_out
     for rec in rep["per_element"]:
         assert f"psi {rec['psi']} ({rec['psi_sign']})" in text_out
+
+
+def _frac(f) -> str:
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _json_report(args) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", "--json", *args]) == 0
+    return json.loads(out.getvalue())
+
+
+@given(st.sampled_from([2310, 720]).flatmap(
+    lambda u: st.lists(st.sampled_from(divisors(u)), min_size=1, max_size=8)))
+@settings(max_examples=40, deadline=None)
+def test_report_equals_library(xs):
+    p = build_poset(gcd_closure(xs))
+    psis = psi(p)
+    inertia = inertia_from_psi(p)
+    structural = structural_inertia(p)
+    elements = [str(x) for x in p.elements]
+    for cap, method in ((["--cap", "0"], "psi" if structural is None else "structural"),
+                        ([], "oracle-verified")):
+        rep = _json_report([*cap, *elements])
+        assert rep["elements"] == elements
+        assert rep["determinant"] == _frac(determinant_via_psi(p))
+        assert rep["inertia"] == {"plus": inertia.plus, "minus": inertia.minus,
+                                  "zero": inertia.zero, "method": method}
+        for i, rec in enumerate(rep["per_element"]):
+            v = psis[i]
+            assert rec["psi"] == _frac(v)
+            assert rec["psi_sign"] == ("positive" if v > 0 else
+                                       "negative" if v < 0 else "zero")
+            if generates_double_chain(p, i):
+                dec = decompose_chains(p, i)
+                assert rec["chain_a"] == [elements[j] for j in dec.chain_a]
+                assert rec["chain_b"] == [elements[j] for j in dec.chain_b]
+            else:
+                assert rec["chain_a"] is None and rec["chain_b"] is None
