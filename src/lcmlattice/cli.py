@@ -6,7 +6,8 @@ diagram), search (max positive eigenvalue count over universes), closure
 (gcd closure of a set).
 
 Exit codes: 0 success; 1 usage, parse, or parameter errors; 2 when the input
-set is not gcd closed and --close was not given.
+set is not gcd closed and --close was not given; 3 when two independent
+routes to the same result disagreed (a fault in the program, not the input).
 
 JSON output serializes every set element and every rational as a string
 ("30", "-4/15") so arbitrary precision survives; structural counts stay JSON
@@ -22,14 +23,14 @@ from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 
-from .doublechain import decompose_chains, generates_double_chain, is_a_set, \
+from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
 from .families import DEFAULT_SEARCH_UNIVERSES, BadParamsError, classical_set, \
     cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, build_poset, gcd_closure, to_dot
-from .matrices import NotGcdClosedError, determinant_exact, inertia_charpoly_oracle, \
-    lcm_matrix, psi, structural_inertia
+from .matrices import NotGcdClosedError, VerificationError, determinant_exact, \
+    inertia_charpoly_oracle, lcm_matrix, psi, structural_inertia
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
 
 DEFAULT_VERIFY_CAP = 64
@@ -70,15 +71,16 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
     psis = psi(p)
     per_element = []
     for i in range(p.n):
-        value = p.elements[i]
-        gen = generates_double_chain(p, i)
-        rec: dict = {
-            "value": str(value),
-            "covers": [str(p.elements[j]) for j in p.covered(i)],
-            "generates_double_chain": gen,
-        }
-        if gen:
+        try:
             dec = decompose_chains(p, i)
+        except NotDoubleChainGeneratorError:
+            dec = None
+        rec: dict = {
+            "value": str(p.elements[i]),
+            "covers": [str(p.elements[j]) for j in p.covered(i)],
+            "generates_double_chain": dec is not None,
+        }
+        if dec is not None:
             rec["chain_a"] = [str(p.elements[j]) for j in dec.chain_a]
             rec["chain_b"] = [str(p.elements[j]) for j in dec.chain_b]
             rec["eta"] = {str(p.elements[j]): dec.eta[j] for j in dec.core.members}
@@ -103,9 +105,11 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
     if verify or p.n <= cap:
         lcm = lcm_matrix(p)
         oracle = inertia_charpoly_oracle(lcm)
-        assert oracle == inertia, "inertia oracle disagreed with sign counts"
-        assert det == determinant_exact(lcm), \
-            "determinant oracle disagreed with the product formula"
+        if oracle != inertia:
+            raise VerificationError("inertia oracle disagreed with sign counts")
+        if det != determinant_exact(lcm):
+            raise VerificationError(
+                "determinant oracle disagreed with the product formula")
         method = "oracle-verified"
 
     return {
@@ -384,6 +388,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotGcdClosedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -118,15 +118,14 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
     Raises NotDoubleChainGeneratorError when the core has width above two.
     """
     c = p.covered(i)
-    closed = meet_closure(p, c)
-    core = SubPoset(p, set(closed) - set(c))
+    core = core_set(p, i)
     split = _split_into_chains(p, core)
     if split is None:
         raise NotDoubleChainGeneratorError(
             f"element {p.elements[i]}: core of its covered set has width > 2")
     chain_a, chain_b = split
 
-    closure_sp = SubPoset(p, closed)
+    closure_sp = SubPoset(p, core.members + c)
     attach: dict[int, list[int]] = {m: [] for m in core.members}
     doubly: int | None = None
     for z in c:

@@ -7,8 +7,8 @@ floating point enters any analysis path.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from functools import cached_property
+from collections.abc import Callable, Iterable
+from functools import cached_property, partial
 
 
 class EmptyInputError(ValueError):
@@ -170,18 +170,22 @@ def is_gcd_closed(p: DivisorPoset) -> bool:
     return p.gcd_closed
 
 
-def gcd_closure(xs: Iterable[int]) -> tuple[int, ...]:
-    """Smallest superset of xs closed under pairwise gcd, sorted ascending."""
-    have = set(_positive_ints(xs))
+def _close(have: set[int], op: Callable[[int, int], int]) -> tuple[int, ...]:
+    """Grow have until it holds op(a, b) for every pair a, b in it; sorted."""
     queue = list(have)
     while queue:
-        x = queue.pop()
-        for y in list(have):
-            g = math.gcd(x, y)
-            if g not in have:
-                have.add(g)
-                queue.append(g)
+        a = queue.pop()
+        for b in list(have):
+            c = op(a, b)
+            if c not in have:
+                have.add(c)
+                queue.append(c)
     return tuple(sorted(have))
+
+
+def gcd_closure(xs: Iterable[int]) -> tuple[int, ...]:
+    """Smallest superset of xs closed under pairwise gcd, sorted ascending."""
+    return _close(set(_positive_ints(xs)), math.gcd)
 
 
 def meet(p: DivisorPoset, i: int, j: int) -> int:
@@ -204,15 +208,7 @@ def meet_closure(p: DivisorPoset, subset: Iterable[int]) -> tuple[int, ...]:
     for m in have:
         if not 0 <= m < p.n:
             raise ValueError(f"index {m} outside poset")
-    queue = list(have)
-    while queue:
-        i = queue.pop()
-        for j in list(have):
-            k = meet(p, i, j)
-            if k not in have:
-                have.add(k)
-                queue.append(k)
-    return tuple(sorted(have))
+    return _close(have, partial(meet, p))
 
 
 def width(sp: SubPoset) -> int:

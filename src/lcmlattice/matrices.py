@@ -15,8 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .doublechain import NotDoubleChainGeneratorError, generates_double_chain
-from .lattice import DivisorPoset
+from .lattice import DivisorPoset, _bits
 from .moebius import mobius_recursive
+
+
+class VerificationError(Exception):
+    """Two independent routes to the same quantity disagreed.
+
+    Deliberately not a ValueError: it signals a fault in the program, not in
+    its input, and it is raised whether or not Python runs with -O.
+    """
 
 
 class NotGcdClosedError(ValueError):
@@ -170,8 +178,8 @@ def power_lcm_matrix(p: DivisorPoset, alpha: int) -> ExactMatrix:
 def psi(p: DivisorPoset) -> PsiVector:
     """Exact Psi values, by the subtraction recursion over strict divisors.
 
-    The equivalent Mobius-weighted sum of reciprocals is computed as well and
-    the two are asserted equal before returning.
+    The equivalent Mobius-weighted sum of reciprocals is computed as well;
+    VerificationError if the two disagree.
     """
     _require_gcd_closed(p)
     n = p.n
@@ -189,7 +197,9 @@ def psi(p: DivisorPoset) -> PsiVector:
         via_mobius = sum((Fraction(mu[j, i], els[j])
                           for j in range(i + 1) if p.leq(j, i)),
                          start=Fraction(0))
-        assert via_mobius == values[i], "the two Psi definitions disagreed"
+        if via_mobius != values[i]:
+            raise VerificationError(
+                f"the two Psi definitions disagreed at {els[i]}")
     return PsiVector(p, tuple(values))
 
 
@@ -197,18 +207,23 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
     """Congruence factorization of the lcm matrix: Delta E Lambda (Delta E)^T.
 
     Delta is the diagonal of the elements, E the lower-unitriangular
-    divisibility indicator, Lambda the diagonal of Psi values.  The product is
-    recomputed and asserted entrywise equal to the lcm matrix before returning.
+    divisibility indicator, Lambda the diagonal of Psi values.  The identity is
+    asserted entrywise before returning: entry (i, j) of the product divided by
+    x_i * x_j is the sum of Psi over the common divisors of x_i and x_j in the
+    set, which must equal 1 / gcd(x_i, x_j).
     """
     _require_gcd_closed(p)
     n = p.n
-    delta = ExactMatrix.diagonal(p.elements)
+    els = p.elements
+    values = psi(p).values
+    for i in range(n):
+        for j in range(i + 1):
+            assert sum((values[k] for k in _bits(p._down[i] & p._down[j])),
+                       start=Fraction(0)) == Fraction(1, math.gcd(els[i], els[j])), \
+                "factorization identity failed"
+    delta = ExactMatrix.diagonal(els)
     e = ExactMatrix([[1 if p.leq(j, i) else 0 for j in range(n)] for i in range(n)])
-    lam = ExactMatrix.diagonal(psi(p).values)
-    de = delta @ e
-    assert (de @ lam) @ de.transpose() == lcm_matrix(p), \
-        "factorization identity failed"
-    return delta, e, lam
+    return delta, e, ExactMatrix.diagonal(values)
 
 
 def _bareiss_det_int(rows: list[list[int]]) -> int:
@@ -239,17 +254,19 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def determinant_exact(m: ExactMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination (the oracle route)."""
+def _scaled_to_int(m: ExactMatrix) -> tuple[list[list[int]], int]:
+    """A square matrix times the lcm of its denominators, as integer rows, and
+    that multiplier; NonSquareError for a non-square matrix."""
     if not m.is_square:
         raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
     scale = math.lcm(*(v.denominator for row in m.entries for v in row))
-    rows = [[int(v * scale) for v in row] for row in m.entries]
-    det = _bareiss_det_int(rows)
-    return Fraction(det, scale ** n)
+    return [[int(v * scale) for v in row] for row in m.entries], scale
+
+
+def determinant_exact(m: ExactMatrix) -> Fraction:
+    """Exact determinant by fraction-free elimination (the oracle route)."""
+    rows, scale = _scaled_to_int(m)
+    return Fraction(_bareiss_det_int(rows), scale ** m.rows)
 
 
 def determinant_via_psi(p: DivisorPoset) -> Fraction:
@@ -310,15 +327,9 @@ def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:
     The zero count is read off the trailing zero coefficients and must match
     what the sign variations leave over.
     """
-    if not m.is_square:
-        raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
+    a, _ = _scaled_to_int(m)
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    n = m.rows
-    if n == 0:
-        return InertiaTriple(0, 0, 0)
-    scale = math.lcm(*(v.denominator for row in m.entries for v in row))
-    a = [[int(v * scale) for v in row] for row in m.entries]
     coeffs = _char_poly_int(a)
     zero = 0
     while coeffs[-1 - zero] == 0:
@@ -327,7 +338,7 @@ def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:
     plus = _sign_variations(trimmed)
     minus = _sign_variations(c if k % 2 == 0 else -c
                              for k, c in enumerate(trimmed))
-    assert plus + minus + zero == n, "Descartes counts failed to add up"
+    assert plus + minus + zero == m.rows, "Descartes counts failed to add up"
     return InertiaTriple(plus, minus, zero)
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcmlattice
-from lcmlattice import build_poset, cli, decompose_chains, determinant_via_psi, \
-    divisors, gcd_closure, generates_double_chain, inertia_from_psi, psi, \
-    structural_inertia
+from lcmlattice import InertiaTriple, build_poset, cli, decompose_chains, \
+    determinant_via_psi, divisors, doublechain, gcd_closure, generates_double_chain, \
+    inertia_from_psi, psi, structural_inertia
 
 CUBE = ["1", "2", "3", "5", "6", "10", "15", "30"]
 
@@ -123,6 +124,31 @@ class TestAnalyze:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run_cli(["frobnicate"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("oracle, wrong", [
+        ("determinant_exact", lambda m: Fraction(0)),
+        ("inertia_charpoly_oracle", lambda m: InertiaTriple(0, 0, 0)),
+    ])
+    def test_oracle_disagreement_exits_three(self, capsys, monkeypatch, oracle, wrong):
+        monkeypatch.setattr(cli, oracle, wrong)
+        code, out, err = run_cli(["analyze", *CUBE], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: verification failed: ")
+
+    def test_each_core_is_built_once_per_route(self, capsys, monkeypatch):
+        real = doublechain.meet_closure
+        calls = []
+
+        def counting(p, subset):
+            calls.append(p)
+            return real(p, subset)
+
+        monkeypatch.setattr(doublechain, "meet_closure", counting)
+        code, _, _ = run_cli(["analyze", "--json", *CUBE], capsys)
+        assert code == 0
+        # One per element for the report's decomposition, and one per element
+        # for structural_inertia, which decides elements on its own.
+        assert len(calls) == 16
 
     @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
                         reason="this Python runs with no int <-> str digit limit")
@@ -308,6 +334,20 @@ def test_console_script_entry_point():
     assert "determinant" in proc.stdout
 
 
+def test_verification_survives_optimized_mode():
+    # -O strips assert statements; the report's oracle checks must not vanish.
+    src = Path(lcmlattice.__file__).parents[1]
+    script = ("import sys\n"
+              "from lcmlattice import cli\n"
+              "cli.determinant_exact = lambda m: 0\n"
+              "sys.exit(cli.main(['analyze', '1', '2', '6']))\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: verification failed: determinant oracle")
+
+
 def test_text_and_json_numbers_agree(capsys):
     _, text_out, _ = run_cli(["analyze", *CUBE], capsys)
     _, json_out, _ = run_cli(["analyze", "--json", *CUBE], capsys)
@@ -348,12 +388,21 @@ def test_report_equals_library(xs):
                                   "zero": inertia.zero, "method": method}
         for i, rec in enumerate(rep["per_element"]):
             v = psis[i]
+            gen = generates_double_chain(p, i)
+            assert rec["value"] == elements[i]
+            assert rec["covers"] == [elements[j] for j in p.covered(i)]
+            assert rec["generates_double_chain"] is gen
+            assert rec["mobius_source"] == ("closed-form" if gen else "recursive")
             assert rec["psi"] == _frac(v)
             assert rec["psi_sign"] == ("positive" if v > 0 else
                                        "negative" if v < 0 else "zero")
-            if generates_double_chain(p, i):
+            if gen:
                 dec = decompose_chains(p, i)
                 assert rec["chain_a"] == [elements[j] for j in dec.chain_a]
                 assert rec["chain_b"] == [elements[j] for j in dec.chain_b]
+                assert rec["eta"] == {elements[j]: dec.eta[j] for j in dec.core.members}
+                assert rec["doubly_attached"] == (
+                    None if dec.doubly_attached is None else elements[dec.doubly_attached])
             else:
                 assert rec["chain_a"] is None and rec["chain_b"] is None
+                assert rec["eta"] is None and rec["doubly_attached"] is None

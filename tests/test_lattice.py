@@ -157,6 +157,8 @@ class TestMeet:
         p = build_poset([1, 2, 15, 42])
         with pytest.raises(MeetOutsideSetError):
             meet(p, p.index(15), p.index(42))  # gcd is 3, absent
+        with pytest.raises(MeetOutsideSetError):
+            meet_closure(build_poset([2, 3, 6]), [0, 1])  # gcd(2, 3) is absent
 
     def test_meet_closure(self):
         p = build_poset([1, 2, 3, 5, 6, 10, 15, 30])
@@ -167,6 +169,7 @@ class TestMeet:
         p = build_poset([1, 2, 4, 8])
         idxs = [p.index(2), p.index(8)]
         assert meet_closure(p, idxs) == tuple(sorted(idxs))
+        assert meet_closure(p, []) == ()
 
 
 class TestWidth:

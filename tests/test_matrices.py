@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -10,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmlattice import matrices
 from lcmlattice import (
     ExactMatrix,
     InertiaTriple,
@@ -19,6 +21,7 @@ from lcmlattice import (
     NotDoubleChainGeneratorError,
     NotGcdClosedError,
     Sign,
+    VerificationError,
     build_poset,
     classify_psi_sign,
     cube_instances,
@@ -151,6 +154,12 @@ class TestPsi:
         v = psi(build_poset([1, 2]))
         assert len(v) == 2 and v[0] == 1 and list(v) == [F(1), F(-1, 2)]
 
+    def test_disagreeing_definitions_raise(self, monkeypatch):
+        # A Mobius table of zeros makes the second definition sum to 0.
+        monkeypatch.setattr(matrices, "mobius_recursive", lambda p: defaultdict(int))
+        with pytest.raises(VerificationError, match="disagreed at 1"):
+            psi(build_poset([1, 2]))
+
 
 class TestFactorization:
     def test_shapes_and_content(self):
@@ -170,6 +179,14 @@ class TestFactorization:
             delta, e, lam = factorization(p)
             de = delta @ e
             assert (de @ lam) @ de.transpose() == lcm_matrix(p)
+
+    def test_identity_check_catches_a_wrong_weight(self, monkeypatch):
+        p = build_poset([1, 2, 3, 6])
+        right = psi(p)
+        wrong = matrices.PsiVector(p, (*right.values[:3], right[3] + F(1, 1000)))
+        monkeypatch.setattr(matrices, "psi", lambda q: wrong)
+        with pytest.raises(AssertionError, match="factorization identity failed"):
+            factorization(p)
 
     def test_incidence_factor_recovers_reciprocal_gcd(self):
         # Dropping the element-diagonal factors leaves the reciprocal GCD
@@ -193,6 +210,7 @@ class TestDeterminant:
         assert determinant_exact(lcm_matrix(build_poset([1, 2]))) == -2
         assert determinant_exact(ExactMatrix.identity(4)) == 1
         assert determinant_exact(lcm_matrix(build_poset([1, 2, 15, 42]))) == 0
+        assert determinant_exact(ExactMatrix([])) == 1
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
@@ -269,6 +287,7 @@ class TestCharpolyOracle:
         assert inertia_charpoly_oracle(neg).as_tuple() == (0, 2, 0)
         mixed = ExactMatrix.diagonal([F(1, 2), F(-1, 3), F(0)])
         assert inertia_charpoly_oracle(mixed).as_tuple() == (1, 1, 1)
+        assert inertia_charpoly_oracle(ExactMatrix([])).as_tuple() == (0, 0, 0)
 
     def test_input_validation(self):
         with pytest.raises(NonSquareError):
