@@ -28,7 +28,7 @@ from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_se
 from .families import DEFAULT_SEARCH_UNIVERSES, BadParamsError, classical_set, \
     cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
-from .lattice import DivisorPoset, build_poset, gcd_closure, to_dot
+from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
 from .matrices import NotGcdClosedError, VerificationError, determinant_exact, \
     inertia_charpoly_oracle, lcm_matrix, psi, structural_inertia
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
@@ -97,18 +97,17 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         per_element.append(rec)
 
     det = psis.determinant()
+    signs = psis.inertia()
     inertia = structural_inertia(p)
     method = "structural"
     if inertia is None:
-        inertia = psis.inertia()
-        method = "psi"
+        inertia, method = signs, "psi"
+    _verify(inertia == signs, "structural inertia disagreed with sign counts")
     if verify or p.n <= cap:
         lcm = lcm_matrix(p)
-        oracle = inertia_charpoly_oracle(lcm)
-        if oracle != inertia:
-            raise VerificationError("inertia oracle disagreed with sign counts")
-        if det != determinant_exact(lcm):
-            raise VerificationError(
+        _verify(inertia_charpoly_oracle(lcm) == inertia,
+                "inertia oracle disagreed with sign counts")
+        _verify(determinant_exact(lcm) == det,
                 "determinant oracle disagreed with the product formula")
         method = "oracle-verified"
 
@@ -163,9 +162,7 @@ def _render_text(rep: dict) -> str:
 
 def _emit_report(p: DivisorPoset, original: Sequence[int], closure_applied: bool,
                  ns: argparse.Namespace) -> int:
-    rep = _build_report(p, original, closure_applied,
-                        verify=getattr(ns, "verify", False),
-                        cap=getattr(ns, "cap", DEFAULT_VERIFY_CAP))
+    rep = _build_report(p, original, closure_applied, verify=ns.verify, cap=ns.cap)
     if ns.json:
         print(json.dumps(rep, indent=2))
     else:
@@ -173,17 +170,22 @@ def _emit_report(p: DivisorPoset, original: Sequence[int], closure_applied: bool
     return 0
 
 
-def _cmd_analyze(ns: argparse.Namespace) -> int:
+def _read_closed_poset(ns: argparse.Namespace, use: str
+                       ) -> tuple[DivisorPoset, list[int], bool]:
+    """The input's poset, its elements, and whether the gcd closure was taken
+    (only under --close; NotGcdClosedError for an unclosed set without it)."""
     xs = _read_elements(ns)
     p = build_poset(xs)
-    if not p.gcd_closed:
-        if not ns.close:
-            print("error: set is not gcd closed; pass --close to analyze its closure",
-                  file=sys.stderr)
-            return 2
-        p = build_poset(gcd_closure(xs))
-        return _emit_report(p, xs, True, ns)
-    return _emit_report(p, xs, False, ns)
+    if p.gcd_closed:
+        return p, xs, False
+    if not ns.close:
+        raise NotGcdClosedError(
+            f"set is not gcd closed; pass --close to {use} its closure")
+    return build_poset(gcd_closure(xs)), xs, True
+
+
+def _cmd_analyze(ns: argparse.Namespace) -> int:
+    return _emit_report(*_read_closed_poset(ns, "analyze"), ns)
 
 
 def _cmd_family(ns: argparse.Namespace) -> int:
@@ -215,15 +217,7 @@ def _cmd_family(ns: argparse.Namespace) -> int:
 
 
 def _cmd_mobius(ns: argparse.Namespace) -> int:
-    xs = _read_elements(ns)
-    p = build_poset(xs)
-    if not p.gcd_closed:
-        if not ns.close:
-            print("error: set is not gcd closed; pass --close to use its closure",
-                  file=sys.stderr)
-            return 2
-        p = build_poset(gcd_closure(xs))
-
+    p, _, _ = _read_closed_poset(ns, "use")
     if ns.column is not None:
         i = p.index(ns.column)
         if ns.method == "closed-form":
@@ -316,6 +310,14 @@ def _add_set_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--file", help="read elements from a file ('-' for stdin)")
 
 
+def _add_report_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--json", action="store_true", help="emit JSON")
+    sub.add_argument("--verify", action="store_true",
+                     help="force oracle verification regardless of size")
+    sub.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
+                     help="auto-verify with the oracle up to this size (default 64)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lcmlattice",
                      description="Exact divisibility-order analysis of integer sets "
@@ -324,13 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     an = subs.add_parser("analyze", help="full report for a set")
     _add_set_arguments(an)
-    an.add_argument("--json", action="store_true", help="emit JSON")
     an.add_argument("--close", action="store_true",
                     help="analyze the gcd closure when the set is not closed")
-    an.add_argument("--verify", action="store_true",
-                    help="force oracle verification regardless of size")
-    an.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
-                    help="auto-verify with the oracle up to this size (default 64)")
+    _add_report_arguments(an)
     an.set_defaults(func=_cmd_analyze)
 
     fam = subs.add_parser("family", help="generate a named family and report on it")
@@ -344,10 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--n", type=int)
     fam.add_argument("--index", type=int, help="cube instance number (1-3)")
     fam.add_argument("--primes", type=int, nargs="+")
-    fam.add_argument("--json", action="store_true", help="emit JSON")
-    fam.add_argument("--verify", action="store_true",
-                     help="force oracle verification regardless of size")
-    fam.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP)
+    _add_report_arguments(fam)
     fam.set_defaults(func=_cmd_family)
 
     mob = subs.add_parser("mobius", help="Mobius table or a single column")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .lattice import (
     DivisorPoset,
     SubPoset,
+    _verify,
     meet_closure,
 )
 
@@ -133,12 +134,14 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
         for k in below:
             attach[k].append(z)
         if len(below) >= 2:
-            assert len(below) == 2, "cover set element attached three ways"
-            assert doubly is None, "two doubly-attached elements found"
+            _verify(len(below) == 2, "a cover attached to three core elements")
+            _verify(doubly is None, "two covers attached to both chains")
             doubly = z
 
-    assert _is_chain(p, tuple(chain_a)) and _is_chain(p, tuple(chain_b))
-    assert sorted(chain_a + chain_b) == list(core.members)
+    _verify(_is_chain(p, tuple(chain_a)) and _is_chain(p, tuple(chain_b)),
+            "chain A or chain B is not a chain")
+    _verify(sorted(chain_a + chain_b) == list(core.members),
+            "chains A and B do not partition the core")
 
     top_a = chain_a[-1] if chain_a else None
     top_b = chain_b[-1] if chain_b else top_a
@@ -146,19 +149,22 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
     if len(c) >= 2:
         # With two or more covers, the closure's minimum sits strictly below
         # them all, so every cover attaches to at least one core element.
-        assert sum(eta.values()) == len(c) + (1 if doubly is not None else 0)
+        _verify(sum(eta.values()) == len(c) + (1 if doubly is not None else 0),
+                "attachment counts do not add up to the covers")
     else:
-        assert not core.members and not eta
+        _verify(not core.members and not eta,
+                "an element with at most one cover has a non-empty core")
 
     if doubly is not None:
         q, r = closure_sp.covered(doubly)
-        assert top_a is not None and top_b is not None
-        assert not (p.leq(top_a, top_b) or p.leq(top_b, top_a)), \
-            "chain tops must be incomparable when an element attaches to both"
+        _verify(top_a is not None and top_b is not None,
+                "a cover attached to both chains, but a chain has no top")
+        _verify(not (p.leq(top_a, top_b) or p.leq(top_b, top_a)),
+                "chain tops are comparable although a cover attaches to both")
         tops_meet = math.gcd(p.elements[top_a], p.elements[top_b])
         qr_meet = math.gcd(p.elements[q], p.elements[r])
-        assert tops_meet == qr_meet, \
-            "meet of chain tops must equal meet of the doubly-attached covers"
+        _verify(tops_meet == qr_meet,
+                "chain tops and doubly-attached covers have different meets")
 
     return ChainDecomposition(
         poset=p,

@@ -23,6 +23,21 @@ class MeetOutsideSetError(ValueError):
     """A required gcd (meet) of two members is not itself a member."""
 
 
+class VerificationError(Exception):
+    """Two independent routes to the same quantity disagreed, or an invariant
+    of a computed result failed.
+
+    Deliberately not a ValueError: it signals a fault in the program, not in
+    its input, and it is raised whether or not Python runs with -O.
+    """
+
+
+def _verify(ok: bool, failure: str) -> None:
+    """The one check path: raise VerificationError(failure) unless ok."""
+    if not ok:
+        raise VerificationError(failure)
+
+
 def _positive_ints(xs: Iterable[int]) -> list[int]:
     """xs as a list, checked to be non-empty and all positive ints (no bools)."""
     xs = list(xs)

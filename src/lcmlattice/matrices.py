@@ -15,16 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .doublechain import NotDoubleChainGeneratorError, generates_double_chain
-from .lattice import DivisorPoset, _bits
+from .lattice import DivisorPoset, VerificationError, _bits, _verify
 from .moebius import mobius_recursive
-
-
-class VerificationError(Exception):
-    """Two independent routes to the same quantity disagreed.
-
-    Deliberately not a ValueError: it signals a fault in the program, not in
-    its input, and it is raised whether or not Python runs with -O.
-    """
 
 
 class NotGcdClosedError(ValueError):
@@ -49,13 +41,14 @@ class Sign(enum.Enum):
 
 
 class ExactMatrix:
-    """Dense matrix of exact rationals (immutable)."""
+    """Dense matrix of exact rationals (immutable); int entries stay ints."""
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in entries)
+        rows = tuple(tuple(v if type(v) is int else Fraction(v) for v in row)
+                     for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        self.entries: tuple[tuple[Fraction, ...], ...] = rows
+        self.entries: tuple[tuple[int | Fraction, ...], ...] = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
 
@@ -69,7 +62,7 @@ class ExactMatrix:
         n = len(vals)
         return cls([[vals[r] if r == c else 0 for c in range(n)] for r in range(n)])
 
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
+    def __getitem__(self, rc: tuple[int, int]) -> int | Fraction:
         r, c = rc
         return self.entries[r][c]
 
@@ -197,8 +190,7 @@ def psi(p: DivisorPoset) -> PsiVector:
         via_mobius = sum((Fraction(mu[j, i], els[j])
                           for j in range(i + 1) if p.leq(j, i)),
                          start=Fraction(0))
-        if via_mobius != values[i]:
-            raise VerificationError(
+        _verify(via_mobius == values[i],
                 f"the two Psi definitions disagreed at {els[i]}")
     return PsiVector(p, tuple(values))
 
@@ -208,9 +200,9 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
 
     Delta is the diagonal of the elements, E the lower-unitriangular
     divisibility indicator, Lambda the diagonal of Psi values.  The identity is
-    asserted entrywise before returning: entry (i, j) of the product divided by
-    x_i * x_j is the sum of Psi over the common divisors of x_i and x_j in the
-    set, which must equal 1 / gcd(x_i, x_j).
+    checked entrywise (else VerificationError): entry (i, j) of the product
+    divided by x_i * x_j is the sum of Psi over the common divisors of x_i and
+    x_j in the set, which must equal 1 / gcd(x_i, x_j).
     """
     _require_gcd_closed(p)
     n = p.n
@@ -218,9 +210,9 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
     values = psi(p).values
     for i in range(n):
         for j in range(i + 1):
-            assert sum((values[k] for k in _bits(p._down[i] & p._down[j])),
-                       start=Fraction(0)) == Fraction(1, math.gcd(els[i], els[j])), \
-                "factorization identity failed"
+            _verify(sum((values[k] for k in _bits(p._down[i] & p._down[j])),
+                        start=Fraction(0)) == Fraction(1, math.gcd(els[i], els[j])),
+                    "factorization identity failed")
     delta = ExactMatrix.diagonal(els)
     e = ExactMatrix([[1 if p.leq(j, i) else 0 for j in range(n)] for i in range(n)])
     return delta, e, ExactMatrix.diagonal(values)
@@ -304,7 +296,7 @@ def _char_poly_int(a: list[list[int]]) -> list[int]:
     m = [row[:] for row in a]
     for k in range(1, n + 1):
         ck, rem = divmod(-sum(m[i][i] for i in range(n)), k)
-        assert rem == 0, "trace recurrence divided inexactly"
+        _verify(rem == 0, "trace recurrence divided inexactly")
         coeffs.append(ck)
         if k == n:
             break
@@ -338,7 +330,7 @@ def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:
     plus = _sign_variations(trimmed)
     minus = _sign_variations(c if k % 2 == 0 else -c
                              for k, c in enumerate(trimmed))
-    assert plus + minus + zero == m.rows, "Descartes counts failed to add up"
+    _verify(plus + minus + zero == m.rows, "Descartes counts failed to add up")
     return InertiaTriple(plus, minus, zero)
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .doublechain import decompose_chains
-from .lattice import DivisorPoset
+from .lattice import DivisorPoset, _verify
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def mobius_closed_form(p: DivisorPoset, i: int) -> dict[int, int]:
         return col
 
     ta, tb = dec.top_a, dec.top_b
-    assert ta is not None and tb is not None
+    _verify(ta is not None and tb is not None, "a non-empty core has no chain tops")
     tops_incomparable = ta != tb and not (p.leq(ta, tb) or p.leq(tb, ta))
     meet_of_tops = None
     if tops_incomparable:

@@ -72,7 +72,7 @@ class TestAnalyze:
     def test_not_closed_exits_two(self, capsys):
         code, _, err = run_cli(["analyze", "1", "2", "15", "42"], capsys)
         assert code == 2
-        assert "not gcd closed" in err
+        assert err == "error: set is not gcd closed; pass --close to analyze its closure\n"
 
     def test_close_flag_takes_closure(self, capsys):
         code, out, _ = run_cli(
@@ -134,6 +134,12 @@ class TestAnalyze:
         code, out, err = run_cli(["analyze", *CUBE], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: verification failed: ")
+
+    def test_structural_inertia_is_checked_above_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "structural_inertia", lambda p: InertiaTriple(8, 0, 0))
+        code, out, err = run_cli(["analyze", "--json", "--cap", "0", *CUBE], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: verification failed: structural inertia")
 
     def test_each_core_is_built_once_per_route(self, capsys, monkeypatch):
         real = doublechain.meet_closure
@@ -257,7 +263,9 @@ class TestMobius:
         assert "width" in err
 
     def test_not_closed_exits_two(self, capsys):
-        assert run_cli(["mobius", "2", "3"], capsys)[0] == 2
+        code, _, err = run_cli(["mobius", "2", "3"], capsys)
+        assert code == 2
+        assert err == "error: set is not gcd closed; pass --close to use its closure\n"
         assert run_cli(["mobius", "2", "3", "--close"], capsys)[0] == 0
 
     def test_column_value_missing_exits_one(self, capsys):

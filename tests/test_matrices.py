@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 from fractions import Fraction as F
 from itertools import permutations
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmlattice import matrices
+from lcmlattice import doublechain, matrices, moebius
 from lcmlattice import (
     ExactMatrix,
     InertiaTriple,
@@ -25,6 +26,7 @@ from lcmlattice import (
     build_poset,
     classify_psi_sign,
     cube_instances,
+    decompose_chains,
     determinant_exact,
     determinant_via_psi,
     factorization,
@@ -35,6 +37,7 @@ from lcmlattice import (
     inertia_from_psi,
     is_invertible,
     lcm_matrix,
+    mobius_closed_form,
     power_lcm_matrix,
     psi,
     reciprocal_gcd_matrix,
@@ -100,6 +103,7 @@ class TestBuilders:
         assert reciprocal_gcd_matrix(p) == ExactMatrix(((F(1), F(1)), (F(1), F(1, 2))))
         assert power_lcm_matrix(p, 2) == ExactMatrix(((F(1), F(4)), (F(4), F(4))))
         assert power_lcm_matrix(p, 1) == lcm_matrix(p)
+        assert all(type(v) is int for row in lcm_matrix(p).entries for v in row)
 
     def test_builders_allow_non_closed_sets(self):
         p = build_poset([1, 2, 15, 42])
@@ -185,7 +189,7 @@ class TestFactorization:
         right = psi(p)
         wrong = matrices.PsiVector(p, (*right.values[:3], right[3] + F(1, 1000)))
         monkeypatch.setattr(matrices, "psi", lambda q: wrong)
-        with pytest.raises(AssertionError, match="factorization identity failed"):
+        with pytest.raises(VerificationError, match="factorization identity failed"):
             factorization(p)
 
     def test_incidence_factor_recovers_reciprocal_gcd(self):
@@ -352,3 +356,28 @@ class TestPowerNonsingularity:
             for alpha in (1, 2, 3):
                 m = power_lcm_matrix(p, alpha)
                 assert determinant_exact(m) != 0
+
+
+PLAIN = [1, 2, 3, 4, 6, 9, 36]  # top 36: chain A [1, 2], chain B [3]
+
+
+@pytest.mark.parametrize("module, name, fake, run, message", [
+    (doublechain, "_split_into_chains",
+     lambda real: lambda p, core: (real(p, core)[0], []),
+     lambda: decompose_chains(build_poset(PLAIN), 6),
+     "do not partition the core"),
+    (moebius, "decompose_chains",
+     lambda real: lambda p, i: dataclasses.replace(real(p, i), top_a=None, top_b=None),
+     lambda: mobius_closed_form(build_poset(PLAIN), 6),
+     "no chain tops"),
+    (matrices, "_char_poly_int",
+     lambda real: lambda a: [1, 0, 1],  # no sign variations: 0 + 0 + 0 != 2
+     lambda: inertia_charpoly_oracle(ExactMatrix.identity(2)),
+     "Descartes counts failed to add up"),
+], ids=["chain-split", "chain-tops", "descartes-count"])
+def test_failed_invariant_raises_verification_error(monkeypatch, module, name, fake,
+                                                    run, message):
+    # A raise, not an assert: the check must also run under python -O.
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    with pytest.raises(VerificationError, match=message):
+        run()
