@@ -2,16 +2,20 @@
 
 The enumerator walks gcd-closed subsets of a divisor universe directly (every
 ascending prefix of a gcd-closed set is gcd closed, so depth-first extension
-by larger elements visits each exactly once, in lexicographic order).
+by larger elements visits each exactly once, in lexicographic order).  The
+search walks the same prefix tree: an element's divisors, covers and weight
+w = x * Psi(x) depend only on the smaller elements before it, so each w is
+computed once per tree node, in integers, by two routes that must agree.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .lattice import DivisorPoset
-from .matrices import inertia_from_psi
+from .lattice import DivisorPoset, _bits, _verify
+from .matrices import _w_by_crosscut, _w_by_recursion
 
 
 class BadParamsError(ValueError):
@@ -127,8 +131,6 @@ def _closed_index_subsets(divs: Sequence[int], min_size: int,
     """Index tuples of gcd-closed subsets of a full divisor list, sizes within
     bounds, in lexicographic order.  The universe must be closed under gcd
     (a full divisor list always is)."""
-    import math
-
     n = len(divs)
     gidx = [[0] * n for _ in range(n)]
     pos = {d: i for i, d in enumerate(divs)}
@@ -169,6 +171,44 @@ def enumerate_gcd_closed(universe: int, size: int) -> Iterator[DivisorPoset]:
         yield DivisorPoset(divs[i] for i in idxs)
 
 
+def _leaf_plus_counts(divs: Sequence[int],
+                      n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each gcd-closed size-n subset of an ascending gcd-closed list (such as
+    a full divisor list), in the enumerator's order, with its count of
+    positive Psi values.
+
+    A stack follows the enumerator's current path.  Each element appended to
+    it gets w = x * Psi(x) from the recursion over its strict divisors on the
+    path and from the crosscut over the elements it covers on the path
+    (VerificationError if they differ), and the positive count is carried
+    down the path, so a leaf only reads it.
+    """
+    k = len(divs)
+    below = [sum(1 << b for b in range(a) if divs[a] % divs[b] == 0) for a in range(k)]
+    above = [sum(1 << a for a in range(k) if below[a] >> b & 1) for b in range(k)]
+    w = [0] * k              # w of each universe index on the current path
+    path: tuple[int, ...] = ()
+    masks, plus = [0], [0]   # [d]: bitmask of path[:d], and its count of w > 0
+    for idxs in _closed_index_subsets(divs, n, n):
+        d = 0
+        while d < len(path) and path[d] == idxs[d]:
+            d += 1
+        del masks[d + 1:], plus[d + 1:]
+        for a in idxs[d:]:
+            x = divs[a]
+            strict = below[a] & masks[-1]
+            lower = list(_bits(strict))
+            wa = _w_by_recursion(x, [(divs[b], w[b]) for b in lower])
+            covers = [divs[b] for b in lower if not above[b] & strict]
+            _verify(wa == _w_by_crosscut(x, covers),
+                    f"the two Psi routes disagreed at {x}")
+            w[a] = wa
+            masks.append(masks[-1] | 1 << a)
+            plus.append(plus[-1] + (wa > 0))
+        path = idxs
+        yield tuple(divs[a] for a in idxs), plus[-1]
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Best positive-eigenvalue count found for a given size (a certified
@@ -186,7 +226,11 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
 
     The reported value is a lower bound on the maximum over all gcd-closed
     sets of size n; the witness is the first maximizer in universe order then
-    lexicographic order, so results are reproducible.
+    lexicographic order, so results are reproducible.  The count of a set is
+    the number of its positive Psi values (Sylvester's law of inertia).  They
+    come from the enumerator's prefix tree, one integer x * Psi(x) per tree
+    node, each checked by the recursion and by Rota's crosscut theorem;
+    VerificationError if the two routes disagree.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need integer n >= 1, got {n!r}")
@@ -194,24 +238,20 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
     if not universes:
         raise BadParamsError("need at least one universe")
     best = -1
-    witness: DivisorPoset | None = None
+    witness: tuple[int, ...] | None = None
     seen: set[tuple[int, ...]] = set()
     for u in universes:
-        divs = divisors(u)
-        for idxs in _closed_index_subsets(divs, n, n):
-            values = tuple(divs[i] for i in idxs)
+        for values, plus in _leaf_plus_counts(divisors(u), n):
             if values in seen:
                 continue
             seen.add(values)
-            p = DivisorPoset(values)
-            plus = inertia_from_psi(p).plus
             if plus > best:
                 best = plus
-                witness = p
+                witness = values
     if witness is None:
         raise BadParamsError(
             f"no gcd-closed subset of size {n} inside universes {list(universes)}")
-    return SearchResult(n, universes, best, witness)
+    return SearchResult(n, universes, best, DivisorPoset(witness))
 
 
 def is_cube_isomorphic(p: DivisorPoset) -> bool:

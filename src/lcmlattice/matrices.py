@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -193,6 +194,26 @@ def psi(p: DivisorPoset) -> PsiVector:
         _verify(via_mobius == values[i],
                 f"the two Psi definitions disagreed at {els[i]}")
     return PsiVector(p, tuple(values))
+
+
+def _w_by_recursion(x: int, divisor_ws: Iterable[tuple[int, int]]) -> int:
+    """The integer w = x * Psi(x), from the pairs (x_j, w_j) of every strict
+    divisor x_j of x in a gcd-closed set: w = 1 - sum (x / x_j) * w_j."""
+    return 1 - sum(x // xj * wj for xj, wj in divisor_ws)
+
+
+def _w_by_crosscut(x: int, covers: Iterable[int]) -> int:
+    """The integer w = x * Psi(x), from the elements x covers in a gcd-closed
+    set, by Rota's crosscut theorem: w = sum over subsets T of the covers of
+    (-1)^|T| * x / gcd(x, T).  Terms with equal gcd are merged after each
+    cover, so the work is (number of covers) * (number of members dividing x),
+    not 2^(number of covers)."""
+    terms = {x: 1}
+    for c in covers:
+        for g, k in list(terms.items()):
+            h = math.gcd(g, c)
+            terms[h] = terms.get(h, 0) - k
+    return sum(k * (x // g) for g, k in terms.items())
 
 
 def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import lcmlattice
 from lcmlattice import InertiaTriple, build_poset, cli, decompose_chains, \
-    determinant_via_psi, divisors, doublechain, gcd_closure, generates_double_chain, \
-    inertia_from_psi, psi, structural_inertia
+    determinant_via_psi, divisors, doublechain, families, gcd_closure, \
+    generates_double_chain, inertia_from_psi, psi, structural_inertia
 
 CUBE = ["1", "2", "3", "5", "6", "10", "15", "30"]
 
@@ -330,6 +330,14 @@ class TestSearch:
 
     def test_impossible_exits_one(self, capsys):
         assert run_cli(["search", "--n", "20", "--universe", "6"], capsys)[0] == 1
+
+    def test_weight_route_disagreement_exits_three(self, capsys, monkeypatch):
+        real = families._w_by_crosscut
+        monkeypatch.setattr(families, "_w_by_crosscut",
+                            lambda x, covers: real(x, covers) + 1)
+        code, out, err = run_cli(["search", "--n", "4"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: verification failed: the two Psi routes")
 
 
 def test_console_script_entry_point():

@@ -9,11 +9,13 @@ import pytest
 from lcmlattice import (
     DEFAULT_SEARCH_UNIVERSES,
     BadParamsError,
+    VerificationError,
     build_poset,
     classical_set,
     cube_instances,
     divisors,
     enumerate_gcd_closed,
+    families,
     grid_family,
     incomparable_tops_instance,
     inertia_from_psi,
@@ -219,3 +221,42 @@ class TestSearch:
     def test_no_candidates_raises(self):
         with pytest.raises(BadParamsError):
             search_max_iplus(20, universes=(6,))
+
+    @pytest.mark.parametrize("n, universes", [
+        *(pytest.param(n, DEFAULT_SEARCH_UNIVERSES, id=f"{n}-default")
+          for n in range(1, 8)),
+        pytest.param(6, (2310,), id="6-2310"),
+        # Every subset of the divisors of 30 comes again inside 210.
+        pytest.param(4, (30, 210), id="4-30-210"),
+    ])
+    def test_matches_per_subset_reference(self, n, universes):
+        # The reference builds each set and takes its inertia from psi: the
+        # first maximizer in universe order, each set counted once.
+        best, witness, seen = -1, None, set()
+        for u in universes:
+            for p in enumerate_gcd_closed(u, n):
+                if p.elements in seen:
+                    continue
+                seen.add(p.elements)
+                plus = inertia_from_psi(p).plus
+                if plus > best:
+                    best, witness = plus, p
+        r = search_max_iplus(n, universes)
+        assert (r.max_iplus, r.witness) == (best, witness)
+
+    def test_leaf_counts_match_psi_inside_any_closed_universe(self, corpus):
+        # Any gcd-closed list can stand in for a divisor list.  The second
+        # cube has a zero weight, which must not count as positive.
+        for _, p in corpus:
+            if p.n > 12:
+                continue
+            for size in range(1, p.n + 1):
+                for values, plus in families._leaf_plus_counts(p.elements, size):
+                    assert plus == inertia_from_psi(build_poset(values)).plus
+
+    def test_disagreeing_weight_routes_raise(self, monkeypatch):
+        real = families._w_by_crosscut
+        monkeypatch.setattr(families, "_w_by_crosscut",
+                            lambda x, covers: real(x, covers) + 1)
+        with pytest.raises(VerificationError, match="Psi routes disagreed at 1"):
+            search_max_iplus(4)

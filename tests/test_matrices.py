@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import defaultdict
 from fractions import Fraction as F
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -163,6 +165,44 @@ class TestPsi:
         monkeypatch.setattr(matrices, "mobius_recursive", lambda p: defaultdict(int))
         with pytest.raises(VerificationError, match="disagreed at 1"):
             psi(build_poset([1, 2]))
+
+
+#: The top of {1, these primes, their product} covers all twenty primes.
+FIRST_20_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                   59, 61, 67, 71)
+
+
+class TestIntegerWeights:
+    """The two integer routes to w = x * Psi(x) that the search runs."""
+
+    def test_both_routes_equal_x_times_psi(self, corpus):
+        wide = build_poset([1, *FIRST_20_PRIMES, math.prod(FIRST_20_PRIMES)])
+        for p in [p for _, p in corpus] + [wide]:
+            els = p.elements
+            ws = [x * v for x, v in zip(els, psi(p))]
+            for i, x in enumerate(els):
+                assert ws[i].denominator == 1
+                below = [(els[j], ws[j]) for j in range(i) if p.leq(j, i)]
+                assert matrices._w_by_recursion(x, below) == ws[i]
+                covers = [els[j] for j in p.covered(i)]
+                assert matrices._w_by_crosscut(x, covers) == ws[i]
+
+    def test_crosscut_merges_terms_by_gcd(self, monkeypatch):
+        # 2^20 subsets of covers, but after each merge the terms are indexed
+        # by the 22 divisors below the top, so at most 20 * 22 gcds are taken.
+        # Every pair of primes has gcd 1, so the sum is 1 - sum(top / q) +
+        # (sum over k >= 2 of (-1)^k C(20, k)) * top, and that inner sum is 19.
+        top = math.prod(FIRST_20_PRIMES)
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(matrices, "math", SimpleNamespace(gcd=counting_gcd))
+        w = matrices._w_by_crosscut(top, FIRST_20_PRIMES)
+        assert w == 1 + 19 * top - sum(top // q for q in FIRST_20_PRIMES)
+        assert len(calls) <= 20 * 22
 
 
 class TestFactorization:
