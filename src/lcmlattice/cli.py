@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
@@ -43,11 +45,11 @@ def _frac(f: Fraction) -> str:
 
 def _read_elements(ns: argparse.Namespace) -> list[int]:
     text_parts: list[str] = []
-    tokens = list(getattr(ns, "elements", []) or [])
+    tokens = list(ns.elements)
     if tokens == ["-"]:
         text_parts.append(sys.stdin.read())
         tokens = []
-    if getattr(ns, "file", None):
+    if ns.file:
         if ns.file == "-":
             text_parts.append(sys.stdin.read())
         else:
@@ -218,14 +220,17 @@ def _cmd_family(ns: argparse.Namespace) -> int:
 
 def _cmd_mobius(ns: argparse.Namespace) -> int:
     p, _, _ = _read_closed_poset(ns, "use")
-    if ns.column is not None:
-        i = p.index(ns.column)
-        if ns.method == "closed-form":
-            col = mobius_closed_form(p, i)
-        elif ns.method == "zeta":
-            col = mobius_via_zeta_inverse(p).column(i)
-        else:
-            col = mobius_recursive(p).column(i)
+    i = None if ns.column is None else p.index(ns.column)
+    # One column function per method, looked up at call time so that a
+    # rebinding of these names (bench/tracing.py wraps them) is seen.
+    if ns.method == "closed-form":
+        column = partial(mobius_closed_form, p)
+    elif ns.method == "zeta":
+        column = mobius_via_zeta_inverse(p).column
+    else:
+        column = mobius_recursive(p).column
+    if i is not None:
+        col = column(i)
         if ns.json:
             print(json.dumps({"element": str(ns.column), "method": ns.method,
                               "column": {str(p.elements[j]): col[j]
@@ -235,13 +240,8 @@ def _cmd_mobius(ns: argparse.Namespace) -> int:
                 print(f"mu({p.elements[j]}, {ns.column}) = {col[j]}")
         return 0
 
-    if ns.method == "closed-form":
-        columns = [mobius_closed_form(p, i) for i in range(p.n)]
-        table = [[columns[i][j] for i in range(p.n)] for j in range(p.n)]
-    elif ns.method == "zeta":
-        table = [list(row) for row in mobius_via_zeta_inverse(p).values]
-    else:
-        table = [list(row) for row in mobius_recursive(p).values]
+    columns = [column(k) for k in range(p.n)]
+    table = [[col[j] for col in columns] for j in range(p.n)]
     if ns.json:
         print(json.dumps({"elements": [str(x) for x in p.elements],
                           "method": ns.method, "table": table}, indent=2))
@@ -275,11 +275,7 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     if ns.universe:
         universes: tuple[int, ...] = tuple(ns.universe)
     elif ns.max_prime is not None:
-        prod = 1
-        for v in range(2, ns.max_prime + 1):
-            if is_prime(v):
-                prod *= v
-        universes = (prod,)
+        universes = (math.prod(v for v in range(2, ns.max_prime + 1) if is_prime(v)),)
     else:
         universes = DEFAULT_SEARCH_UNIVERSES
     res = search_max_iplus(ns.n, universes)

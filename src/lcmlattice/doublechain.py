@@ -16,6 +16,7 @@ from .lattice import (
     DivisorPoset,
     SubPoset,
     _verify,
+    gcd_closure,
     meet_closure,
 )
 
@@ -190,8 +191,6 @@ def is_a_set(p: DivisorPoset) -> bool:
 
 def is_meet_tree(p: DivisorPoset) -> bool:
     """True when the Hasse diagram of the gcd closure of the set is a tree."""
-    from .lattice import gcd_closure  # local to avoid polluting module API
-
     closed = p if p.gcd_closed else DivisorPoset(gcd_closure(p.elements))
     edges = sum(len(closed.covered(i)) for i in range(closed.n))
     return edges == closed.n - 1

@@ -239,12 +239,10 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
         raise BadParamsError("need at least one universe")
     best = -1
     witness: tuple[int, ...] | None = None
-    seen: set[tuple[int, ...]] = set()
+    # A set met again in a later universe has the same count, so it cannot
+    # beat the best so far, and the strict > keeps the first maximizer.
     for u in universes:
         for values, plus in _leaf_plus_counts(divisors(u), n):
-            if values in seen:
-                continue
-            seen.add(values)
             if plus > best:
                 best = plus
                 witness = values

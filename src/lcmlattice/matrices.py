@@ -170,30 +170,24 @@ def power_lcm_matrix(p: DivisorPoset, alpha: int) -> ExactMatrix:
 
 
 def psi(p: DivisorPoset) -> PsiVector:
-    """Exact Psi values, by the subtraction recursion over strict divisors.
+    """Exact Psi values, from the integers w_i = x_i * Psi_i by the recursion
+    over strict divisors that the search also runs.
 
-    The equivalent Mobius-weighted sum of reciprocals is computed as well;
+    Each w_i is checked against the equivalent Mobius sum, in integers:
+    sum of mu(x_j, x_i) * (x_i / x_j) over the divisors x_j of x_i;
     VerificationError if the two disagree.
     """
     _require_gcd_closed(p)
-    n = p.n
     els = p.elements
-    values: list[Fraction] = []
-    for i in range(n):
-        acc = Fraction(1, els[i])
-        for j in range(i):
-            if p.leq(j, i):
-                acc -= values[j]
-        values.append(acc)
-
     mu = mobius_recursive(p)
-    for i in range(n):
-        via_mobius = sum((Fraction(mu[j, i], els[j])
-                          for j in range(i + 1) if p.leq(j, i)),
-                         start=Fraction(0))
-        _verify(via_mobius == values[i],
-                f"the two Psi definitions disagreed at {els[i]}")
-    return PsiVector(p, tuple(values))
+    ws: list[int] = []
+    for i, x in enumerate(els):
+        strict = p._down[i] & ~(1 << i)
+        w = _w_by_recursion(x, ((els[j], ws[j]) for j in _bits(strict)))
+        _verify(sum(mu[j, i] * (x // els[j]) for j in _bits(p._down[i])) == w,
+                f"the two Psi definitions disagreed at {x}")
+        ws.append(w)
+    return PsiVector(p, tuple(Fraction(w, x) for w, x in zip(ws, els)))
 
 
 def _w_by_recursion(x: int, divisor_ws: Iterable[tuple[int, int]]) -> int:

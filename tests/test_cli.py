@@ -250,11 +250,26 @@ class TestMobius:
             cols[method] = json.loads(out)["column"]
         assert cols["recursive"] == cols["zeta"] == cols["closed-form"]
 
-    def test_table_json(self, capsys):
-        code, out, _ = run_cli(["mobius", "1", "2", "6", "--json"], capsys)
+    @pytest.mark.parametrize("method", ["recursive", "zeta", "closed-form"])
+    def test_table_json(self, capsys, method):
+        code, out, _ = run_cli(["mobius", "1", "2", "6", "--json",
+                                "--method", method], capsys)
         assert code == 0
         rep = json.loads(out)
+        assert rep["method"] == method
         assert rep["table"] == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+
+    def test_table_text(self, capsys):
+        # Row j, column i holds mu(x_j, x_i); every cell is as wide as the
+        # widest element or value plus one.
+        code, out, _ = run_cli(["mobius", "1", "2", "5", "10", "100"], capsys)
+        assert code == 0
+        assert out == ("       1   2   5  10 100\n"
+                       "   1   1  -1  -1   1   0\n"
+                       "   2   0   1   0  -1   0\n"
+                       "   5   0   0   1  -1   0\n"
+                       "  10   0   0   0   1  -1\n"
+                       " 100   0   0   0   0   1\n")
 
     def test_closed_form_fails_cleanly_on_non_generator(self, capsys):
         code, _, err = run_cli(["mobius", *CUBE, "--column", "30",

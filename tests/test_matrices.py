@@ -166,6 +166,15 @@ class TestPsi:
         with pytest.raises(VerificationError, match="disagreed at 1"):
             psi(build_poset([1, 2]))
 
+    def test_wrong_recursion_raises(self, monkeypatch):
+        # The Mobius sum is the second route: a recursion off by one at the
+        # bottom element must not go through.
+        real = matrices._w_by_recursion
+        monkeypatch.setattr(matrices, "_w_by_recursion",
+                            lambda x, divisor_ws: real(x, divisor_ws) + 1)
+        with pytest.raises(VerificationError, match="disagreed at 1"):
+            psi(build_poset([1, 2, 3, 6]))
+
 
 #: The top of {1, these primes, their product} covers all twenty primes.
 FIRST_20_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -176,12 +185,16 @@ class TestIntegerWeights:
     """The two integer routes to w = x * Psi(x) that the search runs."""
 
     def test_both_routes_equal_x_times_psi(self, corpus):
+        # The reference w_i = sum of mu(x_j, x_i) * (x_i / x_j) comes from the
+        # zeta-inverse Mobius table, which psi's own routes do not use.
         wide = build_poset([1, *FIRST_20_PRIMES, math.prod(FIRST_20_PRIMES)])
         for p in [p for _, p in corpus] + [wide]:
             els = p.elements
-            ws = [x * v for x, v in zip(els, psi(p))]
-            for i, x in enumerate(els):
-                assert ws[i].denominator == 1
+            mu = moebius.mobius_via_zeta_inverse(p)
+            ws = [sum(mu[j, i] * (x // els[j]) for j in range(i + 1) if p.leq(j, i))
+                  for i, x in enumerate(els)]
+            for i, (x, v) in enumerate(zip(els, psi(p))):
+                assert ws[i] == x * v
                 below = [(els[j], ws[j]) for j in range(i) if p.leq(j, i)]
                 assert matrices._w_by_recursion(x, below) == ws[i]
                 covers = [els[j] for j in p.covered(i)]
