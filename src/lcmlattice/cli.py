@@ -53,8 +53,11 @@ def _read_elements(ns: argparse.Namespace) -> list[int]:
         if ns.file == "-":
             text_parts.append(sys.stdin.read())
         else:
-            with open(ns.file, "r", encoding="utf-8") as fh:
-                text_parts.append(fh.read())
+            try:
+                with open(ns.file, "r", encoding="utf-8") as fh:
+                    text_parts.append(fh.read())
+            except OSError as exc:
+                raise ValueError(f"cannot read {ns.file!r}: {exc.strerror}") from None
     for part in text_parts:
         tokens.extend(part.replace(",", " ").split())
     if not tokens:
@@ -361,10 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sea = subs.add_parser("search", help="max positive eigenvalue count at a size")
     sea.add_argument("--n", type=int, required=True, help="set size to search")
-    sea.add_argument("--universe", type=int, action="append",
-                     help="divisor universe (repeatable)")
-    sea.add_argument("--max-prime", type=int,
-                     help="use divisors of the product of all primes up to this bound")
+    where = sea.add_mutually_exclusive_group()
+    where.add_argument("--universe", type=int, action="append",
+                       help="divisor universe (repeatable)")
+    where.add_argument("--max-prime", type=int,
+                       help="use divisors of the product of all primes up to this bound")
     sea.add_argument("--json", action="store_true", help="emit JSON")
     sea.set_defaults(func=_cmd_search)
 

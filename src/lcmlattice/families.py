@@ -1,20 +1,20 @@
 """Named gcd-closed families, instance generators, enumeration, and search.
 
-The enumerator walks gcd-closed subsets of a divisor universe directly (every
-ascending prefix of a gcd-closed set is gcd closed, so depth-first extension
-by larger elements visits each exactly once, in lexicographic order).  The
-search walks the same prefix tree: an element's divisors, covers and weight
-w = x * Psi(x) depend only on the smaller elements before it, so each w is
-computed once per tree node, in integers, by two routes that must agree.
+Enumeration and search share one depth-first walk over a gcd-closed universe
+(every ascending prefix of a gcd-closed set is gcd closed, so extension by
+larger elements visits each exactly once, in lexicographic order).  An
+element's divisors, covers and weight w = x * Psi(x) depend only on the
+smaller elements before it, so the walk computes each w once per tree node,
+in integers, by two routes that must agree, and carries the count of positive
+weights down the path.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .lattice import DivisorPoset, _bits, _verify
+from .lattice import DivisorPoset, _bits, _verify, meet
 from .matrices import _w_by_crosscut, _w_by_recursion
 
 
@@ -126,87 +126,52 @@ def incomparable_tops_instance() -> DivisorPoset:
     return DivisorPoset([1, 2, 3, 9, 10, 14, 51, 99, 117, 1531530])
 
 
-def _closed_index_subsets(divs: Sequence[int], min_size: int,
-                          max_size: int) -> Iterator[tuple[int, ...]]:
-    """Index tuples of gcd-closed subsets of a full divisor list, sizes within
-    bounds, in lexicographic order.  The universe must be closed under gcd
-    (a full divisor list always is)."""
-    n = len(divs)
-    gidx = [[0] * n for _ in range(n)]
-    pos = {d: i for i, d in enumerate(divs)}
-    for a in range(n):
-        for b in range(a + 1):
-            g = pos[math.gcd(divs[a], divs[b])]
-            gidx[a][b] = gidx[b][a] = g
+def _closed_index_subsets(u: DivisorPoset,
+                          size: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Index tuples of the gcd-closed size-``size`` subsets of a gcd-closed
+    universe (such as a full divisor list), in lexicographic order, each with
+    its count of positive Psi values.
 
+    A depth-first search extends the path only by larger elements whose meets
+    with the path lie on it, and only while enough larger elements remain.
+    Each element appended gets w = x * Psi(x) from the recursion over its
+    strict divisors on the path and from the crosscut over the elements it
+    covers on the path (VerificationError if they differ), and the positive
+    count is carried down the path, so a leaf only reads it.
+    """
+    k, els = u.n, u.elements
+    meets = [[meet(u, a, b) for b in range(a)] for a in range(k)]
+    w = [0] * k              # w of each universe index on the current path
     chosen: list[int] = []
 
-    def rec(mask: int, start: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) >= min_size:
-            yield tuple(chosen)
-        if len(chosen) == max_size:
+    def rec(mask: int, plus: int, start: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if len(chosen) == size:
+            yield tuple(chosen), plus
             return
-        for nxt in range(start, n):
-            row = gidx[nxt]
-            ok = True
-            for t in chosen:
-                if not (mask >> row[t]) & 1:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(nxt)
-                yield from rec(mask | (1 << nxt), nxt + 1)
-                chosen.pop()
+        for a in range(start, k - size + len(chosen) + 1):
+            if not all(mask >> meets[a][t] & 1 for t in chosen):
+                continue
+            x, strict = els[a], u._down[a] & mask
+            lower = list(_bits(strict))
+            w[a] = _w_by_recursion(x, [(els[b], w[b]) for b in lower])
+            covers = [els[b] for b in lower if not u._up[b] & strict]
+            _verify(w[a] == _w_by_crosscut(x, covers),
+                    f"the two Psi routes disagreed at {x}")
+            chosen.append(a)
+            yield from rec(mask | 1 << a, plus + (w[a] > 0), a + 1)
+            chosen.pop()
 
-    return rec(0, 0)
+    return rec(0, 0, 0)
 
 
 def enumerate_gcd_closed(universe: int, size: int) -> Iterator[DivisorPoset]:
     """Stream all gcd-closed subsets of the divisors of ``universe`` with
     exactly ``size`` elements, in lexicographic order of their element lists."""
-    divs = divisors(universe)
+    u = DivisorPoset(divisors(universe))
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise BadParamsError(f"need integer size >= 1, got {size!r}")
-    for idxs in _closed_index_subsets(divs, size, size):
-        yield DivisorPoset(divs[i] for i in idxs)
-
-
-def _leaf_plus_counts(divs: Sequence[int],
-                      n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each gcd-closed size-n subset of an ascending gcd-closed list (such as
-    a full divisor list), in the enumerator's order, with its count of
-    positive Psi values.
-
-    A stack follows the enumerator's current path.  Each element appended to
-    it gets w = x * Psi(x) from the recursion over its strict divisors on the
-    path and from the crosscut over the elements it covers on the path
-    (VerificationError if they differ), and the positive count is carried
-    down the path, so a leaf only reads it.
-    """
-    k = len(divs)
-    below = [sum(1 << b for b in range(a) if divs[a] % divs[b] == 0) for a in range(k)]
-    above = [sum(1 << a for a in range(k) if below[a] >> b & 1) for b in range(k)]
-    w = [0] * k              # w of each universe index on the current path
-    path: tuple[int, ...] = ()
-    masks, plus = [0], [0]   # [d]: bitmask of path[:d], and its count of w > 0
-    for idxs in _closed_index_subsets(divs, n, n):
-        d = 0
-        while d < len(path) and path[d] == idxs[d]:
-            d += 1
-        del masks[d + 1:], plus[d + 1:]
-        for a in idxs[d:]:
-            x = divs[a]
-            strict = below[a] & masks[-1]
-            lower = list(_bits(strict))
-            wa = _w_by_recursion(x, [(divs[b], w[b]) for b in lower])
-            covers = [divs[b] for b in lower if not above[b] & strict]
-            _verify(wa == _w_by_crosscut(x, covers),
-                    f"the two Psi routes disagreed at {x}")
-            w[a] = wa
-            masks.append(masks[-1] | 1 << a)
-            plus.append(plus[-1] + (wa > 0))
-        path = idxs
-        yield tuple(divs[a] for a in idxs), plus[-1]
+    for idxs, _ in _closed_index_subsets(u, size):
+        yield DivisorPoset(u.elements[i] for i in idxs)
 
 
 @dataclass(frozen=True)
@@ -242,10 +207,10 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
     # A set met again in a later universe has the same count, so it cannot
     # beat the best so far, and the strict > keeps the first maximizer.
     for u in universes:
-        for values, plus in _leaf_plus_counts(divisors(u), n):
+        p = DivisorPoset(divisors(u))
+        for idxs, plus in _closed_index_subsets(p, n):
             if plus > best:
-                best = plus
-                witness = values
+                best, witness = plus, tuple(p.elements[i] for i in idxs)
     if witness is None:
         raise BadParamsError(
             f"no gcd-closed subset of size {n} inside universes {list(universes)}")

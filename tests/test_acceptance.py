@@ -125,18 +125,20 @@ def test_criterion_07_small_sets_nonsingular_and_minimal_obstruction():
     total_small = 0
     for universe in (210, 2310):
         divs = divisors(universe)
+        u = build_poset(divs)
         table = [[lcm(a, b) for b in divs] for a in divs]
-        for idx in _closed_index_subsets(divs, 1, 7):
-            rows = [[table[r][c] for c in idx] for r in idx]
-            assert _bareiss_det_int(rows) != 0, [divs[k] for k in idx]
-            total_small += 1
+        for size in range(1, 8):
+            for idx, _ in _closed_index_subsets(u, size):
+                rows = [[table[r][c] for c in idx] for r in idx]
+                assert _bareiss_det_int(rows) != 0, [divs[k] for k in idx]
+                total_small += 1
     assert total_small == 2604 + 59305
 
     singular_eights = []
     for universe in (210, 2310):
         divs = divisors(universe)
         table = [[lcm(a, b) for b in divs] for a in divs]
-        for idx in _closed_index_subsets(divs, 8, 8):
+        for idx, _ in _closed_index_subsets(build_poset(divs), 8):
             rows = [[table[r][c] for c in idx] for r in idx]
             if _bareiss_det_int(rows) == 0:
                 singular_eights.append(build_poset([divs[k] for k in idx]))

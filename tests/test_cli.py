@@ -317,6 +317,16 @@ class TestDotAndClosure:
         assert rep == {"input": ["2", "3"], "closure": ["1", "2", "3"]}
 
 
+@pytest.mark.parametrize("command", ["analyze", "mobius", "dot", "closure"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_file_exits_one(capsys, tmp_path, command, kind):
+    path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+    code, out, err = run_cli([command, "--file", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
 class TestSearch:
     def test_size_four(self, capsys):
         code, out, _ = run_cli(["search", "--n", "4", "--json"], capsys)
@@ -345,6 +355,18 @@ class TestSearch:
 
     def test_impossible_exits_one(self, capsys):
         assert run_cli(["search", "--n", "20", "--universe", "6"], capsys)[0] == 1
+
+    def test_no_subset_of_that_size_exits_one(self, capsys):
+        code, out, err = run_cli(["search", "--n", "33", "--universe", "2310"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: no gcd-closed subset of size 33 inside universes"
+                       " [2310]\n")
+
+    def test_universe_and_max_prime_exclude_each_other(self, capsys):
+        code, out, err = run_cli(["search", "--n", "3", "--universe", "6",
+                                  "--max-prime", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert "--max-prime: not allowed with argument --universe" in err
 
     def test_weight_route_disagreement_exits_three(self, capsys, monkeypatch):
         real = families._w_by_crosscut

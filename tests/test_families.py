@@ -222,6 +222,17 @@ class TestSearch:
         with pytest.raises(BadParamsError):
             search_max_iplus(20, universes=(6,))
 
+    def test_whole_universe_is_the_only_answer(self):
+        # Only one subset has all 64 divisors: the walk must reach it without
+        # trying the branches that cannot fill 64 places.
+        r = search_max_iplus(64, universes=(30030,))
+        assert r.max_iplus == 32
+        assert r.witness.elements == divisors(30030)
+
+    def test_size_past_the_universe_raises(self):
+        with pytest.raises(BadParamsError, match="no gcd-closed subset of size 65"):
+            search_max_iplus(65, universes=(30030,))
+
     @pytest.mark.parametrize("n, universes", [
         *(pytest.param(n, DEFAULT_SEARCH_UNIVERSES, id=f"{n}-default")
           for n in range(1, 8)),
@@ -251,7 +262,8 @@ class TestSearch:
             if p.n > 12:
                 continue
             for size in range(1, p.n + 1):
-                for values, plus in families._leaf_plus_counts(p.elements, size):
+                for idxs, plus in families._closed_index_subsets(p, size):
+                    values = [p.elements[i] for i in idxs]
                     assert plus == inertia_from_psi(build_poset(values)).plus
 
     def test_disagreeing_weight_routes_raise(self, monkeypatch):
