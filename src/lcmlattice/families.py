@@ -6,7 +6,9 @@ larger elements visits each exactly once, in lexicographic order).  An
 element's divisors, covers and weight w = x * Psi(x) depend only on the
 smaller elements before it, so the walk computes each w once per tree node,
 in integers, by two routes that must agree, and carries the count of positive
-weights down the path.
+weights down the path.  The search bounds the walk: an element adds at most 1
+to the count, so a subtree that cannot beat the best count so far is skipped
+before any of its weights is computed.
 """
 
 from __future__ import annotations
@@ -48,18 +50,28 @@ def _require_distinct_primes(values: Sequence[int], what: str) -> None:
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending."""
+    """All positive divisors of n, ascending.
+
+    They are built from the prime factorization of n.  Trial division divides
+    out each prime it finds and stops once d * d exceeds what is left, so the
+    cost grows with the second-largest prime factor and the square root of
+    the largest, not with the square root of n: divisors(10**18) tries only
+    d = 2 to 5.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need a positive integer, got {n!r}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
+    divs, rest, d = [1], n, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            powers = []
+            while rest % d == 0:
+                rest //= d
+                powers.append(d ** (len(powers) + 1))
+            divs += [q * pk for q in divs for pk in powers]
         d += 1
-    return tuple(small + large[::-1])
+    if rest > 1:
+        divs += [q * rest for q in divs]
+    return tuple(sorted(divs))
 
 
 def grid_family(p: int, q: int, m: int) -> DivisorPoset:
@@ -126,8 +138,8 @@ def incomparable_tops_instance() -> DivisorPoset:
     return DivisorPoset([1, 2, 3, 9, 10, 14, 51, 99, 117, 1531530])
 
 
-def _closed_index_subsets(u: DivisorPoset,
-                          size: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
+                          ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Index tuples of the gcd-closed size-``size`` subsets of a gcd-closed
     universe (such as a full divisor list), in lexicographic order, each with
     its count of positive Psi values.
@@ -138,17 +150,31 @@ def _closed_index_subsets(u: DivisorPoset,
     strict divisors on the path and from the crosscut over the elements it
     covers on the path (VerificationError if they differ), and the positive
     count is carried down the path, so a leaf only reads it.
+
+    With an int ``beat``, only the sets whose count exceeds the best so far
+    are yielded: the best starts at ``beat`` and rises with each yield.  Each
+    element appended adds at most 1 to the count, so the walk leaves a node,
+    before computing another weight, once its count plus the places left to
+    fill is no more than the best.  With ``beat=None`` every set is yielded.
     """
     k, els = u.n, u.elements
     meets = [[meet(u, a, b) for b in range(a)] for a in range(k)]
     w = [0] * k              # w of each universe index on the current path
     chosen: list[int] = []
+    best = -1 if beat is None else beat    # every count beats -1
 
     def rec(mask: int, plus: int, start: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if len(chosen) == size:
-            yield tuple(chosen), plus
+        nonlocal best
+        left = size - len(chosen)
+        if not left:
+            if plus > best:
+                if beat is not None:
+                    best = plus
+                yield tuple(chosen), plus
             return
-        for a in range(start, k - size + len(chosen) + 1):
+        for a in range(start, k - left + 1):
+            if plus + left <= best:
+                return
             if not all(mask >> meets[a][t] & 1 for t in chosen):
                 continue
             x, strict = els[a], u._down[a] & mask
@@ -195,7 +221,9 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
     the number of its positive Psi values (Sylvester's law of inertia).  They
     come from the enumerator's prefix tree, one integer x * Psi(x) per tree
     node, each checked by the recursion and by Rota's crosscut theorem;
-    VerificationError if the two routes disagree.
+    VerificationError if the two routes disagree.  The walk is bounded by the
+    best count so far, across universes too, so only the nodes that could
+    still hold a better set get a weight.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need integer n >= 1, got {n!r}")
@@ -204,13 +232,13 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
         raise BadParamsError("need at least one universe")
     best = -1
     witness: tuple[int, ...] | None = None
-    # A set met again in a later universe has the same count, so it cannot
-    # beat the best so far, and the strict > keeps the first maximizer.
+    # Each yield beats the best so far, which carries into the next universe:
+    # a set met again there has the same count, so it is not yielded again,
+    # and the first maximizer stays the witness.
     for u in universes:
         p = DivisorPoset(divisors(u))
-        for idxs, plus in _closed_index_subsets(p, n):
-            if plus > best:
-                best, witness = plus, tuple(p.elements[i] for i in idxs)
+        for idxs, best in _closed_index_subsets(p, n, beat=best):
+            witness = tuple(p.elements[i] for i in idxs)
     if witness is None:
         raise BadParamsError(
             f"no gcd-closed subset of size {n} inside universes {list(universes)}")

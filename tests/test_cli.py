@@ -362,6 +362,13 @@ class TestSearch:
         assert err == ("error: no gcd-closed subset of size 33 inside universes"
                        " [2310]\n")
 
+    def test_universe_with_a_large_square_root(self, capsys):
+        # 10^18 has only 361 divisors but a square root of 10^9.
+        code, out, _ = run_cli(["search", "--json", "--n", "2", "--universe",
+                                str(10 ** 18)], capsys)
+        assert code == 0
+        assert json.loads(out)["max_iplus"] == 1
+
     def test_universe_and_max_prime_exclude_each_other(self, capsys):
         code, out, err = run_cli(["search", "--n", "3", "--universe", "6",
                                   "--max-prime", "5"], capsys)

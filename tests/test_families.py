@@ -39,6 +39,18 @@ class TestDivisors:
         with pytest.raises(BadParamsError):
             divisors(0)
 
+    def test_matches_brute_force(self):
+        for n in [*range(1, 501), 999_983, 2 * 999_983]:
+            assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+    def test_large_number_with_small_primes(self):
+        # 2^18 * 5^18: trial division up to sqrt(n) would need 10^9 steps.
+        divs = divisors(10 ** 18)
+        assert len(divs) == 19 * 19
+        assert list(divs) == sorted(set(divs))
+        assert divs[:4] == (1, 2, 4, 5) and divs[-1] == 10 ** 18
+        assert all(10 ** 18 % d == 0 for d in divs)
+
 
 class TestGrid:
     def test_smallest(self):
@@ -254,6 +266,52 @@ class TestSearch:
                     best, witness = plus, p
         r = search_max_iplus(n, universes)
         assert (r.max_iplus, r.witness) == (best, witness)
+
+    @pytest.mark.parametrize("n, universes", [
+        (1, (6,)), (3, (30,)), (5, DEFAULT_SEARCH_UNIVERSES),
+        (8, DEFAULT_SEARCH_UNIVERSES), (10, DEFAULT_SEARCH_UNIVERSES),
+        (6, (2310,)), (7, (216, 210)), (4, (30, 210)), (5, (210, 30)),
+        (64, (30030,)),
+    ])
+    def test_bound_matches_unbounded_walk(self, n, universes):
+        # The reference walks every set with no bound and keeps the first
+        # maximizer; the bounded search must find the same count and set.
+        best, witness = -1, None
+        for u in universes:
+            p = build_poset(divisors(u))
+            for idxs, plus in families._closed_index_subsets(p, n):
+                if plus > best:
+                    best, witness = plus, tuple(p.elements[i] for i in idxs)
+        r = search_max_iplus(n, universes)
+        assert (r.max_iplus, r.witness.elements) == (best, witness)
+
+    def test_bound_yields_only_records(self):
+        p = build_poset(divisors(210))
+        every = list(families._closed_index_subsets(p, 6))
+        records, best = [], -1
+        for leaf in every:
+            if leaf[1] > best:
+                records.append(leaf)
+                best = leaf[1]
+        assert list(families._closed_index_subsets(p, 6, beat=-1)) == records
+        assert list(families._closed_index_subsets(p, 6, beat=best)) == []
+        assert [plus for _, plus in families._closed_index_subsets(p, 6, beat=1)] \
+            == [plus for _, plus in records if plus > 1]
+
+    def test_bound_skips_most_weights(self, monkeypatch):
+        calls = [0]
+        real = families._w_by_recursion
+
+        def counted(x, lower):
+            calls[0] += 1
+            return real(x, lower)
+        monkeypatch.setattr(families, "_w_by_recursion", counted)
+        search_max_iplus(6, (2310,))
+        bounded, calls[0] = calls[0], 0
+        p = build_poset(divisors(2310))
+        # With no bound the walk yields every gcd-closed set of the size.
+        assert sum(1 for _ in families._closed_index_subsets(p, 6)) == 16_081
+        assert 0 < 4 * bounded <= calls[0]
 
     def test_leaf_counts_match_psi_inside_any_closed_universe(self, corpus):
         # Any gcd-closed list can stand in for a divisor list.  The second
