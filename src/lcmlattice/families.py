@@ -29,15 +29,41 @@ class BadParamsError(ValueError):
 DEFAULT_SEARCH_UNIVERSES: tuple[int, ...] = (210, 216)
 
 
+#: Miller-Rabin with the first 13 primes as bases is exact below this bound
+#: (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime bases",
+#: Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """True when n is an int prime (bools and values below 2 are not)."""
+    """True when n is an int prime (bools and values below 2 are not).
+
+    Deterministic Miller-Rabin, exact below 3,317,044,064,679,887,385,961,981;
+    BadParamsError at or above that bound rather than a guess.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MILLER_RABIN_LIMIT:
+        raise BadParamsError(
+            f"cannot decide whether {n} is prime: the primality test is exact "
+            f"only below {_MILLER_RABIN_LIMIT}")
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -2,9 +2,10 @@
 
 Two independent routes exist for every headline quantity.  The formula route
 goes through the Psi vector (an inclusion-exclusion over the divisor poset);
-the oracle route uses fraction-free elimination for determinants and an exact
-characteristic polynomial with Descartes' rule for inertia.  The routes never
-share code, so their agreement in the test suite is meaningful.
+the oracle route uses fraction-free elimination on the integer-scaled matrix:
+Bareiss for determinants, and a symmetric congruence read out by Sylvester's
+law of inertia for inertia, with pivots from the last index down.  The routes
+never share code, so their agreement in the test suite is meaningful.
 """
 
 from __future__ import annotations
@@ -303,49 +304,62 @@ def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
     return InertiaTriple(p.n - minus, minus, 0)
 
 
-def _char_poly_int(a: list[list[int]]) -> list[int]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] of an
-    integer matrix, by the trace recurrence (all divisions exact)."""
-    n = len(a)
-    coeffs = [1]
-    m = [row[:] for row in a]
-    for k in range(1, n + 1):
-        ck, rem = divmod(-sum(m[i][i] for i in range(n)), k)
-        _verify(rem == 0, "trace recurrence divided inexactly")
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            m[i][i] += ck
-        m = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-             for i in range(n)]
-    return coeffs
+def _congruence_signs(a: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia (plus, minus, zero) of a symmetric integer matrix by
+    fraction-free symmetric elimination (destructive).
 
-
-def _sign_variations(seq) -> int:
-    signs = [1 if v > 0 else -1 for v in seq if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    The pivot is the nonzero diagonal entry with the largest index left; if
+    every diagonal entry left is 0 but some a_ij is not, row and column j are
+    first added to row and column i, making that entry 2a_ij.  Each update
+    divides exactly by the previous pivot, as in Bareiss, so the block left is
+    that pivot times the Schur complement: by Sylvester's law of inertia each
+    pivot adds an eigenvalue of sign sign(pivot) * sign(previous pivot), and
+    an all-zero block left counts as zeros.
+    """
+    rest = list(range(len(a)))
+    plus = minus = 0
+    prev = 1
+    while rest:
+        k = next((i for i in reversed(rest) if a[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i in reversed(rest) for j in rest if a[i][j]),
+                        (None, None))
+            if k is None:
+                break
+            for t in rest:
+                a[k][t] += a[j][t]
+            for t in rest:
+                a[t][k] += a[t][j]
+        pivot = a[k][k]
+        if (pivot > 0) == (prev > 0):
+            plus += 1
+        else:
+            minus += 1
+        rest.remove(k)
+        row_k = a[k]
+        for i in rest:
+            row_i = a[i]
+            lead = row_i[k]
+            for c in rest:
+                row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // prev
+        prev = pivot
+    return plus, minus, len(rest)
 
 
 def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:
-    """Inertia of a symmetric rational matrix via its exact characteristic
-    polynomial and Descartes' rule of signs (exact on real-rooted input).
+    """Inertia of a symmetric rational matrix by an exact congruence
+    diagonalization of the matrix scaled to integers (Sylvester's law of
+    inertia), with no rational arithmetic and no Psi values.
 
-    The zero count is read off the trailing zero coefficients and must match
-    what the sign variations leave over.
+    Pivots come from the last index down, so the congruence is not the one
+    that factorization() builds from the Psi values.  The name, which says
+    charpoly, is kept for existing callers.
     """
     a, _ = _scaled_to_int(m)
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    coeffs = _char_poly_int(a)
-    zero = 0
-    while coeffs[-1 - zero] == 0:
-        zero += 1
-    trimmed = coeffs[:len(coeffs) - zero]
-    plus = _sign_variations(trimmed)
-    minus = _sign_variations(c if k % 2 == 0 else -c
-                             for k, c in enumerate(trimmed))
-    _verify(plus + minus + zero == m.rows, "Descartes counts failed to add up")
+    plus, minus, zero = _congruence_signs(a)
+    _verify(plus + minus + zero == m.rows, "congruence counts failed to add up")
     return InertiaTriple(plus, minus, zero)
 
 

@@ -106,7 +106,7 @@ def test_criterion_05_factorization_identity(corpus):
 
 
 def test_criterion_06_inertia_oracle_agreement(corpus):
-    """Sign counts equal the charpoly oracle's counts for every n <= 32."""
+    """Sign counts equal the congruence oracle's counts for every n <= 32."""
     checked = 0
     for label, p in corpus:
         if p.n > 32:
@@ -114,8 +114,8 @@ def test_criterion_06_inertia_oracle_agreement(corpus):
         assert inertia_charpoly_oracle(lcm_matrix(p)) == inertia_from_psi(p), label
         checked += 1
     assert checked >= 40
-    print(f"ACCEPTANCE 06 PASS — weight sign counts match the characteristic "
-          f"polynomial oracle on {checked} instances up to size 32")
+    print(f"ACCEPTANCE 06 PASS — weight sign counts match the congruence "
+          f"inertia oracle on {checked} instances up to size 32")
 
 
 def test_criterion_07_small_sets_nonsingular_and_minimal_obstruction():

@@ -218,6 +218,22 @@ class TestFamily:
         assert code == 0
         assert json.loads(out)["n"] == 10
 
+    def test_grid_with_a_large_prime(self, capsys):
+        # Trial division up to the square root of 10^18 + 3 would not finish.
+        code, out, _ = run_cli(["family", "grid", "--p", "1000000000000000003",
+                                "--q", "3", "--m", "2", "--json"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["elements"] == ["1", "3", "1000000000000000003",
+                                   "3000000000000000009"]
+        assert rep["inertia"]["method"] == "oracle-verified"
+
+    def test_prime_beyond_the_exact_test_exits_one(self, capsys):
+        code, out, err = run_cli(["family", "grid", "--p", str(2 ** 127 - 1),
+                                  "--q", "3", "--m", "2"], capsys)
+        assert code == 1 and out == ""
+        assert "exact only below" in err
+
     def test_missing_params_exit_one(self, capsys):
         code, _, err = run_cli(["family", "grid", "--p", "2"], capsys)
         assert code == 1

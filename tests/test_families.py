@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import pytest
+import sympy
 
 from lcmlattice import (
     DEFAULT_SEARCH_UNIVERSES,
@@ -50,6 +52,35 @@ class TestDivisors:
         assert list(divs) == sorted(set(divs))
         assert divs[:4] == (1, 2, 4, 5) and divs[-1] == 10 ** 18
         assert all(10 ** 18 % d == 0 for d in divs)
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for n in range(-2, 10 ** 4 + 1):
+            trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert families.is_prime(n) == trial, n
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # 2047 = 23 * 89 passes base 2; 3215031751 = 151 * 751 * 28351 passes
+        # bases 2, 3, 5 and 7.
+        assert not families.is_prime(2047)
+        assert not families.is_prime(3215031751)
+
+    def test_large_values_match_sympy(self):
+        limit = families._MILLER_RABIN_LIMIT
+        for n in [10 ** 18 + 3, 10 ** 18 + 1, 2 ** 61 - 1, (2 ** 31 - 1) ** 2,
+                  998244353 * 1000000007, limit - 1, limit - 2]:
+            assert families.is_prime(n) == sympy.isprime(n), n
+
+    def test_non_integers_are_not_prime(self):
+        assert not families.is_prime(True)
+        assert not families.is_prime(7.0)  # type: ignore[arg-type]
+
+    def test_refuses_to_guess_at_the_bound(self):
+        with pytest.raises(BadParamsError, match="exact only below"):
+            families.is_prime(families._MILLER_RABIN_LIMIT)
+        with pytest.raises(BadParamsError, match="exact only below"):
+            grid_family(2 ** 127 - 1, 3, 2)
 
 
 class TestGrid:

@@ -45,7 +45,6 @@ from lcmlattice import (
     reciprocal_gcd_matrix,
     structural_inertia,
 )
-from lcmlattice.matrices import _char_poly_int
 
 
 def permutation_determinant(m: ExactMatrix) -> F:
@@ -61,6 +60,64 @@ def permutation_determinant(m: ExactMatrix) -> F:
             term *= m[(r, perm[r])]
         acc += term
     return acc
+
+
+def char_poly_int(a: list[list[int]]) -> list[int]:
+    """Monic characteristic polynomial coefficients [1, c1, ..., cn] of an
+    integer matrix, by the Faddeev-LeVerrier trace recurrence (every division
+    exact).  O(n^4): a test-side oracle only."""
+    n = len(a)
+    coeffs = [1]
+    m = [row[:] for row in a]
+    for k in range(1, n + 1):
+        ck, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        assert rem == 0
+        coeffs.append(ck)
+        if k == n:
+            break
+        for i in range(n):
+            m[i][i] += ck
+        m = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+             for i in range(n)]
+    return coeffs
+
+
+def sign_variations(seq) -> int:
+    signs = [1 if v > 0 else -1 for v in seq if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def charpoly_inertia(a: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix by Descartes' rule of signs on its
+    characteristic polynomial (exact, since every root is real)."""
+    coeffs = char_poly_int(a)
+    zero = 0
+    while coeffs[-1 - zero] == 0:
+        zero += 1
+    trimmed = coeffs[:len(coeffs) - zero]
+    plus = sign_variations(trimmed)
+    minus = sign_variations(c if k % 2 == 0 else -c for k, c in enumerate(trimmed))
+    assert plus + minus + zero == len(a)
+    return plus, minus, zero
+
+
+@st.composite
+def symmetric_int_matrices(draw) -> list[list[int]]:
+    """Small symmetric integer matrices: dense, zero-diagonal, or low rank
+    (B D B^T with B of n rows and r <= n columns)."""
+    n = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["dense", "zero-diagonal", "low-rank"]))
+    if kind == "low-rank":
+        r = draw(st.integers(0, n))
+        b = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)]
+        d = [draw(st.sampled_from([-2, -1, 1, 3])) for _ in range(r)]
+        return [[sum(b[i][t] * d[t] * b[j][t] for t in range(r)) for j in range(n)]
+                for i in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + (kind == "dense")):
+            a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    return a
 
 
 def frozen_cube_psi() -> list[list[F]]:
@@ -352,23 +409,71 @@ class TestCharpolyOracle:
         with pytest.raises(NonSymmetricError):
             inertia_charpoly_oracle(ExactMatrix(((F(1), F(2)), (F(3), F(4)))))
 
+    def test_row_add_step(self):
+        # Every diagonal entry is 0, so a row and column must be added first.
+        swap = ExactMatrix([[0, 1], [1, 0]])
+        assert inertia_charpoly_oracle(swap).as_tuple() == (1, 1, 0)
+        ones_minus_identity = ExactMatrix([[int(r != c) for c in range(3)]
+                                           for r in range(3)])
+        assert inertia_charpoly_oracle(ones_minus_identity).as_tuple() == (1, 2, 0)
+        assert inertia_charpoly_oracle(ExactMatrix(
+            [[0, 2, 0], [2, 0, 0], [0, 0, 0]])).as_tuple() == (1, 1, 1)
+
+    def test_zero_block_left_after_pivots(self):
+        # v v^T: one pivot, then an all-zero 2x2 block.
+        v = [1, 2, 3]
+        assert inertia_charpoly_oracle(ExactMatrix(
+            [[a * b for b in v] for a in v])).as_tuple() == (1, 0, 2)
+        # u u^T - w w^T: two pivots, then an all-zero 2x2 block.
+        u, w = [1, 0, 2, 1], [0, 1, 1, 3]
+        m = ExactMatrix([[u[i] * u[j] - w[i] * w[j] for j in range(4)]
+                         for i in range(4)])
+        assert inertia_charpoly_oracle(m).as_tuple() == (1, 1, 2)
+
+    def test_singular_second_cube(self):
+        m = lcm_matrix(cube_instances()[1])
+        assert inertia_charpoly_oracle(m).as_tuple() == (4, 3, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_int_matrices())
+    def test_matches_charpoly_read_out(self, a):
+        assert inertia_charpoly_oracle(ExactMatrix(a)).as_tuple() == charpoly_inertia(a)
+
     def test_charpoly_matches_sympy(self, corpus):
-        # Independent check of the integer characteristic polynomial against
-        # a third-party implementation, on moderately sized instances.
+        # Independent check of the test-side integer characteristic
+        # polynomial against a third-party implementation, on moderately
+        # sized instances.
         for _, p in corpus:
             if p.n > 12:
                 continue
             a = [[int(lcm_matrix(p)[(r, c)]) for c in range(p.n)]
                  for r in range(p.n)]
-            ours = _char_poly_int(a)
+            ours = char_poly_int(a)
             theirs = sympy.Matrix(a).charpoly().all_coeffs()
             assert ours == [int(c) for c in theirs]
+            assert inertia_charpoly_oracle(lcm_matrix(p)).as_tuple() == charpoly_inertia(a)
 
     def test_agrees_with_sign_counts_on_corpus(self, corpus):
         for _, p in corpus:
             if p.n > 32:
                 continue
             assert inertia_charpoly_oracle(lcm_matrix(p)) == inertia_from_psi(p)
+
+    def test_oracles_call_nothing_on_the_psi_route(self, corpus, monkeypatch):
+        small = [p for _, p in corpus if p.n <= 64]
+        want = [(inertia_from_psi(p), determinant_via_psi(p)) for p in small]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an oracle reached the Psi route")
+        for module, name in [(matrices, "psi"), (matrices, "_w_by_recursion"),
+                             (matrices, "_w_by_crosscut"),
+                             (matrices, "mobius_recursive"),
+                             (moebius, "mobius_recursive")]:
+            monkeypatch.setattr(module, name, forbidden)
+        for p, (inertia, det) in zip(small, want):
+            m = lcm_matrix(p)
+            assert inertia_charpoly_oracle(m) == inertia
+            assert determinant_exact(m) == det
 
 
 class TestSignClassification:
@@ -423,11 +528,11 @@ PLAIN = [1, 2, 3, 4, 6, 9, 36]  # top 36: chain A [1, 2], chain B [3]
      lambda real: lambda p, i: dataclasses.replace(real(p, i), top_a=None, top_b=None),
      lambda: mobius_closed_form(build_poset(PLAIN), 6),
      "no chain tops"),
-    (matrices, "_char_poly_int",
-     lambda real: lambda a: [1, 0, 1],  # no sign variations: 0 + 0 + 0 != 2
+    (matrices, "_congruence_signs",
+     lambda real: lambda a: (0, 0, 0),  # 0 + 0 + 0 != 2
      lambda: inertia_charpoly_oracle(ExactMatrix.identity(2)),
-     "Descartes counts failed to add up"),
-], ids=["chain-split", "chain-tops", "descartes-count"])
+     "congruence counts failed to add up"),
+], ids=["chain-split", "chain-tops", "congruence-count"])
 def test_failed_invariant_raises_verification_error(monkeypatch, module, name, fake,
                                                     run, message):
     # A raise, not an assert: the check must also run under python -O.
