@@ -366,9 +366,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--n", type=int, required=True, help="set size to search")
     where = sea.add_mutually_exclusive_group()
     where.add_argument("--universe", type=int, action="append",
-                       help="divisor universe (repeatable)")
+                       help="divisor universe, with at most 4,096 divisors (repeatable)")
     where.add_argument("--max-prime", type=int,
-                       help="use divisors of the product of all primes up to this bound")
+                       help="use divisors of the product of all primes up to this bound "
+                            "(at most 37: 4,096 divisors)")
     sea.add_argument("--json", action="store_true", help="emit JSON")
     sea.set_defaults(func=_cmd_search)
 

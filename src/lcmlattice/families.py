@@ -13,6 +13,7 @@ before any of its weights is computed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -75,29 +76,36 @@ def _require_distinct_primes(values: Sequence[int], what: str) -> None:
         raise BadParamsError(f"{what} must be pairwise distinct: {list(values)}")
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending.
-
-    They are built from the prime factorization of n.  Trial division divides
-    out each prime it finds and stops once d * d exceeds what is left, so the
-    cost grows with the second-largest prime factor and the square root of
-    the largest, not with the square root of n: divisors(10**18) tries only
-    d = 2 to 5.
-    """
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n as ascending (prime, exponent) pairs, by
+    trial division that stops once d * d exceeds what is left: the cost grows
+    with the second-largest prime factor and the square root of the largest,
+    not with the square root of n (10**18 tries only d = 2 to 5)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need a positive integer, got {n!r}")
-    divs, rest, d = [1], n, 2
+    pairs, rest, d = [], n, 2
     while d * d <= rest:
-        if rest % d == 0:
-            powers = []
-            while rest % d == 0:
-                rest //= d
-                powers.append(d ** (len(powers) + 1))
-            divs += [q * pk for q in divs for pk in powers]
+        e = 0
+        while rest % d == 0:
+            rest, e = rest // d, e + 1
+        if e:
+            pairs.append((d, e))
         d += 1
     if rest > 1:
-        divs += [q * rest for q in divs]
+        pairs.append((rest, 1))
+    return pairs
+
+
+def _divisors_of(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    divs = [1]
+    for q, e in pairs:
+        divs = [d * q ** k for d in divs for k in range(e + 1)]
     return tuple(sorted(divs))
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending, from its prime factorization."""
+    return _divisors_of(_factor(n))
 
 
 def grid_family(p: int, q: int, m: int) -> DivisorPoset:
@@ -216,10 +224,26 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     return rec(0, 0, 0)
 
 
+#: The most divisors a universe may have: the walk's poset and meets are quadratic.
+_MAX_UNIVERSE_DIVISORS = 4096
+
+
+def _universe_poset(universe: int) -> DivisorPoset:
+    """The poset of the divisors of ``universe``; BadParamsError, before any
+    is listed, when there are more than _MAX_UNIVERSE_DIVISORS of them."""
+    pairs = _factor(universe)
+    count = math.prod(e + 1 for _, e in pairs)
+    if count > _MAX_UNIVERSE_DIVISORS:
+        raise BadParamsError(f"universe {universe} has {count} divisors, more than "
+                             f"the {_MAX_UNIVERSE_DIVISORS} allowed")
+    return DivisorPoset(_divisors_of(pairs))
+
+
 def enumerate_gcd_closed(universe: int, size: int) -> Iterator[DivisorPoset]:
     """Stream all gcd-closed subsets of the divisors of ``universe`` with
-    exactly ``size`` elements, in lexicographic order of their element lists."""
-    u = DivisorPoset(divisors(universe))
+    exactly ``size`` elements, in lexicographic order of their element lists
+    (at most 4,096 divisors, else BadParamsError)."""
+    u = _universe_poset(universe)
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise BadParamsError(f"need integer size >= 1, got {size!r}")
     for idxs, _ in _closed_index_subsets(u, size):
@@ -248,8 +272,8 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
     come from the enumerator's prefix tree, one integer x * Psi(x) per tree
     node, each checked by the recursion and by Rota's crosscut theorem;
     VerificationError if the two routes disagree.  The walk is bounded by the
-    best count so far, across universes too, so only the nodes that could
-    still hold a better set get a weight.
+    best count so far, across universes too.  A universe may have at most
+    4,096 divisors (BadParamsError).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need integer n >= 1, got {n!r}")
@@ -262,7 +286,7 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
     # a set met again there has the same count, so it is not yielded again,
     # and the first maximizer stays the witness.
     for u in universes:
-        p = DivisorPoset(divisors(u))
+        p = _universe_poset(u)
         for idxs, best in _closed_index_subsets(p, n, beat=best):
             witness = tuple(p.elements[i] for i in idxs)
     if witness is None:

@@ -2,10 +2,10 @@
 
 Two independent routes exist for every headline quantity.  The formula route
 goes through the Psi vector (an inclusion-exclusion over the divisor poset);
-the oracle route uses fraction-free elimination on the integer-scaled matrix:
-Bareiss for determinants, and a symmetric congruence read out by Sylvester's
-law of inertia for inertia, with pivots from the last index down.  The routes
-never share code, so their agreement in the test suite is meaningful.
+the oracle route is one fraction-free elimination of the integer-scaled
+matrix, with pivots from the first index up for determinants and, with
+their signs read out by Sylvester's law of inertia, from the last index down
+for inertia.  The routes never share code, so their agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -234,34 +234,6 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
     return delta, e, ExactMatrix.diagonal(values)
 
 
-def _bareiss_det_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix (destructive)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for r in range(k + 1, n):
-            row_r = rows[r]
-            row_k = rows[k]
-            lead = row_r[k]
-            for c in range(k + 1, n):
-                row_r[c] = (row_r[c] * pivot - lead * row_k[c]) // prev
-            row_r[k] = 0
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
-
-
 def _scaled_to_int(m: ExactMatrix) -> tuple[list[list[int]], int]:
     """A square matrix times the lcm of its denominators, as integer rows, and
     that multiplier; NonSquareError for a non-square matrix."""
@@ -271,10 +243,57 @@ def _scaled_to_int(m: ExactMatrix) -> tuple[list[list[int]], int]:
     return [[int(v * scale) for v in row] for row in m.entries], scale
 
 
+def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
+    """Fraction-free elimination of a square integer matrix (destructive):
+    (plus, minus, zero, det).
+
+    The pivot is the first nonzero diagonal entry left.  Updates divide
+    exactly by the previous pivot, as in Bareiss, and every step has
+    determinant 1: det is the last pivot, or 0 when an all-zero block is
+    left.  On a symmetric matrix the block left is the previous pivot times
+    the Schur complement, so by Sylvester's law of inertia each pivot adds an
+    eigenvalue of sign sign(pivot) * sign(previous pivot), and an all-zero
+    block left counts as zeros.
+
+    If the diagonal left is all 0, row j, the first with a nonzero entry in
+    the first nonzero column k, is added to row k.  On a symmetric block the
+    rows before k and a_ik for k < i < j are 0, so after the pivot a_jk the
+    diagonal is 0 before j and -a_jk^2 / prev at j: j is the next pivot.
+    Rows k and j lie in every later Bareiss minor, where the row add drops
+    out, so the block left is again the scaled Schur complement, and the two
+    pivots give one plus and one minus, as [[0, b], [b, 0]] does.
+    """
+    rest = list(range(len(a)))
+    plus = minus = 0
+    prev = 1
+    while rest:
+        k = next((i for i in rest if a[i][i]), None)
+        if k is None:
+            j, k = next(((j, k) for k in rest for j in rest if a[j][k]), (None, None))
+            if k is None:
+                break
+            for t in rest:
+                a[k][t] += a[j][t]
+        pivot = a[k][k]
+        if (pivot > 0) == (prev > 0):
+            plus += 1
+        else:
+            minus += 1
+        rest.remove(k)
+        row_k = a[k]
+        for i in rest:
+            row_i = a[i]
+            lead = row_i[k]
+            for c in rest:
+                row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // prev
+        prev = pivot
+    return plus, minus, len(rest), 0 if rest else prev
+
+
 def determinant_exact(m: ExactMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination (the oracle route)."""
     rows, scale = _scaled_to_int(m)
-    return Fraction(_bareiss_det_int(rows), scale ** m.rows)
+    return Fraction(_eliminate(rows)[3], scale ** m.rows)
 
 
 def determinant_via_psi(p: DivisorPoset) -> Fraction:
@@ -304,61 +323,16 @@ def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
     return InertiaTriple(p.n - minus, minus, 0)
 
 
-def _congruence_signs(a: list[list[int]]) -> tuple[int, int, int]:
-    """Inertia (plus, minus, zero) of a symmetric integer matrix by
-    fraction-free symmetric elimination (destructive).
-
-    The pivot is the nonzero diagonal entry with the largest index left; if
-    every diagonal entry left is 0 but some a_ij is not, row and column j are
-    first added to row and column i, making that entry 2a_ij.  Each update
-    divides exactly by the previous pivot, as in Bareiss, so the block left is
-    that pivot times the Schur complement: by Sylvester's law of inertia each
-    pivot adds an eigenvalue of sign sign(pivot) * sign(previous pivot), and
-    an all-zero block left counts as zeros.
-    """
-    rest = list(range(len(a)))
-    plus = minus = 0
-    prev = 1
-    while rest:
-        k = next((i for i in reversed(rest) if a[i][i]), None)
-        if k is None:
-            k, j = next(((i, j) for i in reversed(rest) for j in rest if a[i][j]),
-                        (None, None))
-            if k is None:
-                break
-            for t in rest:
-                a[k][t] += a[j][t]
-            for t in rest:
-                a[t][k] += a[t][j]
-        pivot = a[k][k]
-        if (pivot > 0) == (prev > 0):
-            plus += 1
-        else:
-            minus += 1
-        rest.remove(k)
-        row_k = a[k]
-        for i in rest:
-            row_i = a[i]
-            lead = row_i[k]
-            for c in rest:
-                row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // prev
-        prev = pivot
-    return plus, minus, len(rest)
-
-
 def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:
-    """Inertia of a symmetric rational matrix by an exact congruence
-    diagonalization of the matrix scaled to integers (Sylvester's law of
-    inertia), with no rational arithmetic and no Psi values.
-
-    Pivots come from the last index down, so the congruence is not the one
-    that factorization() builds from the Psi values.  The name, which says
-    charpoly, is kept for existing callers.
-    """
+    """Inertia of a symmetric rational matrix from the pivot signs of the
+    determinant_exact elimination of it scaled to integers (Sylvester's law of
+    inertia), with no Psi values.  Its indices are reversed first, a
+    permutation congruence, so pivots come from the last index down, unlike
+    factorization().  The name, which says charpoly, is kept for callers."""
     a, _ = _scaled_to_int(m)
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    plus, minus, zero = _congruence_signs(a)
+    plus, minus, zero, _ = _eliminate([row[::-1] for row in reversed(a)])
     _verify(plus + minus + zero == m.rows, "congruence counts failed to add up")
     return InertiaTriple(plus, minus, zero)
 

@@ -385,6 +385,14 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["max_iplus"] == 1
 
+    def test_too_many_divisors_exits_one(self, capsys):
+        # The primes up to 53 give 2^16 divisors, past the 4096 allowed; the
+        # poset and meet table of that universe would not finish.
+        code, out, err = run_cli(["search", "--json", "--n", "2", "--max-prime",
+                                  "53"], capsys)
+        assert (code, out) == (1, "")
+        assert "has 65536 divisors, more than the 4096 allowed" in err
+
     def test_universe_and_max_prime_exclude_each_other(self, capsys):
         code, out, err = run_cli(["search", "--n", "3", "--universe", "6",
                                   "--max-prime", "5"], capsys)

@@ -272,6 +272,22 @@ class TestSearch:
         assert r.max_iplus == 32
         assert r.witness.elements == divisors(30030)
 
+    def test_universe_with_too_many_divisors_raises_at_once(self):
+        # The primorial of the first 13 primes has 2^13 divisors: the count
+        # comes from its factorization, before any divisor is listed.
+        primorial = math.prod(p for p in range(2, 42) if sympy.isprime(p))
+        with pytest.raises(BadParamsError, match=f"universe {primorial} has 8192 "
+                                                 f"divisors, more than the 4096"):
+            search_max_iplus(2, universes=(primorial,))
+        with pytest.raises(BadParamsError, match="8192 divisors"):
+            next(enumerate_gcd_closed(primorial, 2))
+
+    def test_divisor_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(families, "_MAX_UNIVERSE_DIVISORS", 8)
+        assert search_max_iplus(2, universes=(30,)).max_iplus == 1
+        with pytest.raises(BadParamsError, match="210 has 16 divisors"):
+            search_max_iplus(2, universes=(30, 210))
+
     def test_size_past_the_universe_raises(self):
         with pytest.raises(BadParamsError, match="no gcd-closed subset of size 65"):
             search_max_iplus(65, universes=(30030,))

@@ -120,6 +120,17 @@ def symmetric_int_matrices(draw) -> list[list[int]]:
     return a
 
 
+@st.composite
+def zero_diagonal_int_matrices(draw) -> list[list[int]]:
+    """Small integer matrices with a zero diagonal: general, or skew-symmetric."""
+    n = draw(st.integers(0, 6))
+    a = [[0 if i == j else draw(st.integers(-3, 3)) for j in range(n)]
+         for i in range(n)]
+    if draw(st.booleans()):
+        a = [[a[i][j] if j < i else -a[j][i] for j in range(n)] for i in range(n)]
+    return a
+
+
 def frozen_cube_psi() -> list[list[F]]:
     return [
         [F(1), F(-1, 2), F(-2, 3), F(-4, 5), F(1, 3), F(2, 5), F(8, 15), F(-4, 15)],
@@ -350,6 +361,17 @@ class TestDeterminant:
         m = ExactMatrix(tuple(tuple(r) for r in rows))
         assert determinant_exact(m) == permutation_determinant(m)
 
+    def test_zero_diagonal_examples(self):
+        # No nonzero diagonal entry: a row must be added before the first pivot.
+        assert determinant_exact(ExactMatrix([[0, 1], [-1, 0]])) == 1
+        assert determinant_exact(ExactMatrix([[0, 2, 0], [0, 0, 3], [5, 0, 0]])) == 30
+
+    @given(zero_diagonal_int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_zero_diagonal_matches_permutation_expansion(self, a):
+        m = ExactMatrix(a)
+        assert determinant_exact(m) == permutation_determinant(m)
+
     def test_product_formula_matches_elimination(self, corpus):
         for _, p in corpus:
             assert determinant_via_psi(p) == determinant_exact(lcm_matrix(p))
@@ -410,7 +432,7 @@ class TestCharpolyOracle:
             inertia_charpoly_oracle(ExactMatrix(((F(1), F(2)), (F(3), F(4)))))
 
     def test_row_add_step(self):
-        # Every diagonal entry is 0, so a row and column must be added first.
+        # Every diagonal entry is 0, so a row must be added first.
         swap = ExactMatrix([[0, 1], [1, 0]])
         assert inertia_charpoly_oracle(swap).as_tuple() == (1, 1, 0)
         ones_minus_identity = ExactMatrix([[int(r != c) for c in range(3)]
@@ -418,6 +440,11 @@ class TestCharpolyOracle:
         assert inertia_charpoly_oracle(ones_minus_identity).as_tuple() == (1, 2, 0)
         assert inertia_charpoly_oracle(ExactMatrix(
             [[0, 2, 0], [2, 0, 0], [0, 0, 0]])).as_tuple() == (1, 1, 1)
+        # Row j must be the first in column k: taking the last instead makes
+        # a diagonal entry between them the next pivot, and reads (3, 1, 1).
+        assert inertia_charpoly_oracle(ExactMatrix(
+            [[0, 1, 1, 0, 0], [1, 0, 1, 0, 1], [1, 1, 0, 1, 0], [0, 0, 1, 0, 1],
+             [0, 1, 0, 1, 0]])).as_tuple() == (2, 2, 1)
 
     def test_zero_block_left_after_pivots(self):
         # v v^T: one pivot, then an all-zero 2x2 block.
@@ -458,6 +485,24 @@ class TestCharpolyOracle:
             if p.n > 32:
                 continue
             assert inertia_charpoly_oracle(lcm_matrix(p)) == inertia_from_psi(p)
+
+    def test_each_oracle_keeps_its_pivot_order(self, monkeypatch):
+        # One elimination takes the first nonzero diagonal entry as pivot.
+        # The determinant runs it on the matrix as given, pivots from the
+        # first index up; the inertia oracle on the matrix with its indices
+        # reversed, pivots from the last index down, so its elimination is
+        # not the one factorization() builds from the Psi values.
+        real, seen = matrices._eliminate, []
+
+        def spy(a):
+            seen.append([row[:] for row in a])
+            return real(a)
+        monkeypatch.setattr(matrices, "_eliminate", spy)
+        m = ExactMatrix([[1, 2, 3], [2, 5, 6], [3, 6, 10]])
+        assert determinant_exact(m) == 1
+        assert inertia_charpoly_oracle(m).as_tuple() == (3, 0, 0)
+        assert seen == [[[1, 2, 3], [2, 5, 6], [3, 6, 10]],
+                        [[10, 6, 3], [6, 5, 2], [3, 2, 1]]]
 
     def test_oracles_call_nothing_on_the_psi_route(self, corpus, monkeypatch):
         small = [p for _, p in corpus if p.n <= 64]
@@ -528,8 +573,8 @@ PLAIN = [1, 2, 3, 4, 6, 9, 36]  # top 36: chain A [1, 2], chain B [3]
      lambda real: lambda p, i: dataclasses.replace(real(p, i), top_a=None, top_b=None),
      lambda: mobius_closed_form(build_poset(PLAIN), 6),
      "no chain tops"),
-    (matrices, "_congruence_signs",
-     lambda real: lambda a: (0, 0, 0),  # 0 + 0 + 0 != 2
+    (matrices, "_eliminate",
+     lambda real: lambda a: (0, 0, 0, 1),  # 0 + 0 + 0 != 2
      lambda: inertia_charpoly_oracle(ExactMatrix.identity(2)),
      "congruence counts failed to add up"),
 ], ids=["chain-split", "chain-tops", "congruence-count"])
