@@ -31,8 +31,8 @@ from .families import DEFAULT_SEARCH_UNIVERSES, BadParamsError, classical_set, \
     cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
-from .matrices import NotGcdClosedError, VerificationError, determinant_exact, \
-    inertia_charpoly_oracle, lcm_matrix, psi, structural_inertia
+from .matrices import NotGcdClosedError, VerificationError, congruence_oracle, \
+    lcm_matrix, psi, structural_inertia
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
 
 DEFAULT_VERIFY_CAP = 64
@@ -109,11 +109,9 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         inertia, method = signs, "psi"
     _verify(inertia == signs, "structural inertia disagreed with sign counts")
     if verify or p.n <= cap:
-        lcm = lcm_matrix(p)
-        _verify(inertia_charpoly_oracle(lcm) == inertia,
-                "inertia oracle disagreed with sign counts")
-        _verify(determinant_exact(lcm) == det,
-                "determinant oracle disagreed with the product formula")
+        oracle_inertia, oracle_det = congruence_oracle(lcm_matrix(p))
+        _verify(oracle_inertia == inertia, "inertia oracle disagreed with sign counts")
+        _verify(oracle_det == det, "determinant oracle disagreed with the product formula")
         method = "oracle-verified"
 
     return {

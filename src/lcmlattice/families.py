@@ -76,24 +76,55 @@ def _require_distinct_primes(values: Sequence[int], what: str) -> None:
         raise BadParamsError(f"{what} must be pairwise distinct: {list(values)}")
 
 
+#: Trial division tries only the divisors below this bound; Pollard's rho
+#: splits what is left.
+_TRIAL_DIVISION_BOUND = 64
+
+
 def _factor(n: int) -> list[tuple[int, int]]:
-    """The prime factorization of n as ascending (prime, exponent) pairs, by
-    trial division that stops once d * d exceeds what is left: the cost grows
-    with the second-largest prime factor and the square root of the largest,
-    not with the square root of n (10**18 tries only d = 2 to 5)."""
+    """The prime factorization of n as ascending (prime, exponent) pairs.
+
+    Trial division by d below _TRIAL_DIVISION_BOUND, stopping once d * d
+    exceeds what is left.  What is left then has no factor below d: a part
+    below d * d is prime, is_prime decides any other part, and a composite
+    part is split by _rho_factor.  BadParamsError for a part at or above the
+    Miller-Rabin bound (is_prime cannot decide it)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need a positive integer, got {n!r}")
-    pairs, rest, d = [], n, 2
-    while d * d <= rest:
-        e = 0
+    exps: dict[int, int] = {}
+    rest, d = n, 2
+    while d < _TRIAL_DIVISION_BOUND and d * d <= rest:
         while rest % d == 0:
-            rest, e = rest // d, e + 1
-        if e:
-            pairs.append((d, e))
+            rest, exps[d] = rest // d, exps.get(d, 0) + 1
         d += 1
-    if rest > 1:
-        pairs.append((rest, 1))
-    return pairs
+    parts = [rest] if rest > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < d * d or is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            parts += [f, m // f]
+    return sorted(exps.items())
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n, by Pollard's rho with Brent's
+    cycle finding (R. P. Brent, BIT 20, 1980): the map y -> y^2 + c from the
+    fixed start y = 2, with the next c when a run ends in n itself."""
+    c = 1
+    while True:
+        x = y = 2
+        power = steps = g = 1
+        while g == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+            y = (y * y + c) % n
+            steps += 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+        c += 1
 
 
 def _divisors_of(pairs: list[tuple[int, int]]) -> tuple[int, ...]:

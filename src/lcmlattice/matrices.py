@@ -3,9 +3,12 @@
 Two independent routes exist for every headline quantity.  The formula route
 goes through the Psi vector (an inclusion-exclusion over the divisor poset);
 the oracle route is one fraction-free elimination of the integer-scaled
-matrix, with pivots from the first index up for determinants and, with
-their signs read out by Sylvester's law of inertia, from the last index down
-for inertia.  The routes never share code, so their agreement is meaningful.
+matrix, pivots from the first index up, whose last pivot gives the
+determinant and whose pivot signs give the inertia by Sylvester's law of
+inertia.  On a gcd-closed set in ascending order, while no Psi is 0, pivot
+k / pivot k-1 is x_k^2 * Psi_k, the congruence factorization() builds; the
+oracle still shares no code with the Psi route, so their agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -291,7 +294,8 @@ def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
 
 
 def determinant_exact(m: ExactMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination (the oracle route)."""
+    """Exact determinant of any square rational matrix, by the fraction-free
+    elimination congruence_oracle runs on symmetric ones."""
     rows, scale = _scaled_to_int(m)
     return Fraction(_eliminate(rows)[3], scale ** m.rows)
 
@@ -323,18 +327,23 @@ def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
     return InertiaTriple(p.n - minus, minus, 0)
 
 
-def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:
-    """Inertia of a symmetric rational matrix from the pivot signs of the
-    determinant_exact elimination of it scaled to integers (Sylvester's law of
-    inertia), with no Psi values.  Its indices are reversed first, a
-    permutation congruence, so pivots come from the last index down, unlike
-    factorization().  The name, which says charpoly, is kept for callers."""
-    a, _ = _scaled_to_int(m)
+def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
+    """Inertia and determinant of a symmetric rational matrix from one
+    fraction-free elimination of it scaled to integers, pivots from the first
+    index up, with no Psi values: the pivot signs give the inertia
+    (Sylvester's law of inertia), the last pivot the determinant."""
+    a, scale = _scaled_to_int(m)
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    plus, minus, zero, _ = _eliminate([row[::-1] for row in reversed(a)])
+    plus, minus, zero, det = _eliminate(a)
     _verify(plus + minus + zero == m.rows, "congruence counts failed to add up")
-    return InertiaTriple(plus, minus, zero)
+    return InertiaTriple(plus, minus, zero), Fraction(det, scale ** m.rows)
+
+
+def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:
+    """Inertia of a symmetric rational matrix: congruence_oracle(m)[0].  The
+    name, which says charpoly, is kept for callers."""
+    return congruence_oracle(m)[0]
 
 
 def classify_psi_sign(p: DivisorPoset, i: int) -> Sign:

@@ -126,14 +126,18 @@ class TestAnalyze:
         assert run_cli(["frobnicate"], capsys)[0] == 1
 
     @pytest.mark.parametrize("oracle, wrong", [
-        ("determinant_exact", lambda m: Fraction(0)),
-        ("inertia_charpoly_oracle", lambda m: InertiaTriple(0, 0, 0)),
+        # One elimination gives both results; each half is named by the
+        # oracle that computes it alone.
+        ("determinant_exact", lambda triple, det: (triple, Fraction(0))),
+        ("inertia_charpoly_oracle", lambda triple, det: (InertiaTriple(0, 0, 0), det)),
     ])
     def test_oracle_disagreement_exits_three(self, capsys, monkeypatch, oracle, wrong):
-        monkeypatch.setattr(cli, oracle, wrong)
+        real = cli.congruence_oracle
+        monkeypatch.setattr(cli, "congruence_oracle", lambda m: wrong(*real(m)))
         code, out, err = run_cli(["analyze", *CUBE], capsys)
         assert code == 3 and out == ""
-        assert err.startswith("error: verification failed: ")
+        check = oracle.split("_")[0]
+        assert err.startswith(f"error: verification failed: {check} oracle")
 
     def test_structural_inertia_is_checked_above_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "structural_inertia", lambda p: InertiaTriple(8, 0, 0))
@@ -385,6 +389,25 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["max_iplus"] == 1
 
+    def test_semiprime_universe_answers_at_once(self):
+        # 998244353 * 1000000007 has 4 divisors; trial division up to the
+        # smaller factor would take minutes, Pollard's rho takes milliseconds.
+        src = Path(lcmlattice.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcmlattice.cli", "search", "--json", "--n", "2",
+             "--universe", "998244359987710471"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0
+        rep = json.loads(proc.stdout)
+        assert rep["max_iplus"] == 1 and rep["witness"] == ["1", "998244353"]
+
+    def test_universe_past_the_primality_bound_exits_one(self, capsys):
+        code, out, err = run_cli(["search", "--n", "2", "--universe",
+                                  "3317044064679887385961981"], capsys)
+        assert (code, out) == (1, "")
+        assert "cannot decide whether 3317044064679887385961981 is prime" in err
+
     def test_too_many_divisors_exits_one(self, capsys):
         # The primes up to 53 give 2^16 divisors, past the 4096 allowed; the
         # poset and meet table of that universe would not finish.
@@ -422,8 +445,8 @@ def test_verification_survives_optimized_mode():
     # -O strips assert statements; the report's oracle checks must not vanish.
     src = Path(lcmlattice.__file__).parents[1]
     script = ("import sys\n"
-              "from lcmlattice import cli\n"
-              "cli.determinant_exact = lambda m: 0\n"
+              "from lcmlattice import InertiaTriple, cli\n"
+              "cli.congruence_oracle = lambda m: (InertiaTriple(1, 2, 0), 0)\n"
               "sys.exit(cli.main(['analyze', '1', '2', '6']))\n")
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],

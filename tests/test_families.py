@@ -42,8 +42,20 @@ class TestDivisors:
             divisors(0)
 
     def test_matches_brute_force(self):
-        for n in [*range(1, 501), 999_983, 2 * 999_983]:
+        # Past 64 the factorization leaves trial division: 67 * 67 = 4489
+        # and 67 * 149 = 9983 are split by Pollard's rho.
+        for n in [*range(1, 10 ** 4 + 1), 999_983, 2 * 999_983]:
             assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+    def test_products_of_primes_near_a_billion(self):
+        primes = [998_244_353, 999_999_937, 1_000_000_007, 1_000_000_009]
+        for i, p in enumerate(primes):
+            for q in primes[i + 1:]:
+                assert divisors(p * q) == (1, p, q, p * q)
+            assert divisors(p * p) == (1, p, p * p)
+        # A factor rho finds may itself be composite, and is split again.
+        assert len(divisors(1009 * 10007 * 100003 * 1000003)) == 16
+        assert len(divisors(67 ** 3 * 71 ** 2 * primes[0])) == 24
 
     def test_large_number_with_small_primes(self):
         # 2^18 * 5^18: trial division up to sqrt(n) would need 10^9 steps.
@@ -52,6 +64,8 @@ class TestDivisors:
         assert list(divs) == sorted(set(divs))
         assert divs[:4] == (1, 2, 4, 5) and divs[-1] == 10 ** 18
         assert all(10 ** 18 % d == 0 for d in divs)
+        # Past the Miller-Rabin bound, but nothing is left to decide.
+        assert len(divisors(2 ** 100)) == 101
 
 
 class TestIsPrime:

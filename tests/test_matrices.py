@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import math
 from collections import defaultdict
 from fractions import Fraction as F
@@ -14,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmlattice import doublechain, matrices, moebius
+from lcmlattice import cli, doublechain, matrices, moebius
 from lcmlattice import (
     ExactMatrix,
     InertiaTriple,
@@ -27,6 +29,7 @@ from lcmlattice import (
     VerificationError,
     build_poset,
     classify_psi_sign,
+    congruence_oracle,
     cube_instances,
     decompose_chains,
     determinant_exact,
@@ -465,6 +468,9 @@ class TestCharpolyOracle:
     @given(symmetric_int_matrices())
     def test_matches_charpoly_read_out(self, a):
         assert inertia_charpoly_oracle(ExactMatrix(a)).as_tuple() == charpoly_inertia(a)
+        triple, det = congruence_oracle(ExactMatrix(a))
+        assert triple.as_tuple() == charpoly_inertia(a)
+        assert det == sympy.Matrix(a).det()
 
     def test_charpoly_matches_sympy(self, corpus):
         # Independent check of the test-side integer characteristic
@@ -486,23 +492,20 @@ class TestCharpolyOracle:
                 continue
             assert inertia_charpoly_oracle(lcm_matrix(p)) == inertia_from_psi(p)
 
-    def test_each_oracle_keeps_its_pivot_order(self, monkeypatch):
-        # One elimination takes the first nonzero diagonal entry as pivot.
-        # The determinant runs it on the matrix as given, pivots from the
-        # first index up; the inertia oracle on the matrix with its indices
-        # reversed, pivots from the last index down, so its elimination is
-        # not the one factorization() builds from the Psi values.
+    def test_report_runs_one_elimination_in_the_given_order(self, monkeypatch):
+        # analyze reads the determinant and the inertia from one elimination
+        # of the lcm matrix as given, pivots from the first index up: the
+        # order factorization() builds from the Psi values.
         real, seen = matrices._eliminate, []
 
         def spy(a):
             seen.append([row[:] for row in a])
             return real(a)
         monkeypatch.setattr(matrices, "_eliminate", spy)
-        m = ExactMatrix([[1, 2, 3], [2, 5, 6], [3, 6, 10]])
-        assert determinant_exact(m) == 1
-        assert inertia_charpoly_oracle(m).as_tuple() == (3, 0, 0)
-        assert seen == [[[1, 2, 3], [2, 5, 6], [3, 6, 10]],
-                        [[10, 6, 3], [6, 5, 2], [3, 2, 1]]]
+        p = cube_instances()[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analyze", *map(str, p.elements)]) == 0
+        assert seen == [[list(row) for row in lcm_matrix(p).entries]]
 
     def test_oracles_call_nothing_on_the_psi_route(self, corpus, monkeypatch):
         small = [p for _, p in corpus if p.n <= 64]
@@ -519,6 +522,7 @@ class TestCharpolyOracle:
             m = lcm_matrix(p)
             assert inertia_charpoly_oracle(m) == inertia
             assert determinant_exact(m) == det
+            assert congruence_oracle(m) == (inertia, det)
 
 
 class TestSignClassification:
