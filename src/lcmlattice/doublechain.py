@@ -183,9 +183,7 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
 
 def is_a_set(p: DivisorPoset) -> bool:
     """True when the pairwise gcds of distinct members form a single chain."""
-    els = p.elements
-    meets = sorted({math.gcd(els[a], els[b])
-                    for a in range(len(els)) for b in range(a)})
+    meets = sorted(p._gcd_pass[1])
     return all(b % a == 0 for a, b in zip(meets, meets[1:]))
 
 
@@ -197,23 +195,13 @@ def is_meet_tree(p: DivisorPoset) -> bool:
 
 
 def is_r_fold_gcd_closed(p: DivisorPoset, r: int) -> bool:
-    """True when the r smallest elements form a divisor chain whose maximum
-    divides the minimum of the rest, and the rest is gcd closed.
-
-    r = 0 degenerates to plain gcd closedness.  Raises BadFoldCountError for
-    r outside 0..n-1.
-    """
+    """True when x_0 | x_1 | ... | x_r and the rest, from x_r on, is gcd
+    closed: the r smallest elements form a divisor chain below a gcd-closed
+    rest, and r = 0 is plain gcd closedness.  BadFoldCountError for r
+    outside 0..n-1."""
     n = p.n
     if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= n - 1:
         raise BadFoldCountError(f"fold count must be an integer in 0..{n - 1}, got {r!r}")
-    if r == 0:
-        return p.gcd_closed
-    els = p.elements
-    head, tail = els[:r], els[r:]
-    if not all(b % a == 0 for a, b in zip(head, head[1:])):
-        return False
-    if tail[0] % head[-1] != 0:
-        return False
-    present = set(tail)
-    return all(math.gcd(tail[a], tail[b]) in present
-               for a in range(len(tail)) for b in range(a))
+    els, (low, _) = p.elements, p._gcd_pass
+    return (all(b % a == 0 for a, b in zip(els[:r], els[1:r + 1]))
+            and min(low[r:]) >= r)

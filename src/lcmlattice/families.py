@@ -80,6 +80,10 @@ def _require_distinct_primes(values: Sequence[int], what: str) -> None:
 #: splits what is left.
 _TRIAL_DIVISION_BOUND = 64
 
+#: Rho steps a part at or above the Miller-Rabin bound gets before it is refused:
+#: rho finds a prime factor p in about sqrt(p) steps, but never ends on a prime.
+_RHO_BUDGET = 1 << 16
+
 
 def _factor(n: int) -> list[tuple[int, int]]:
     """The prime factorization of n as ascending (prime, exponent) pairs.
@@ -87,8 +91,9 @@ def _factor(n: int) -> list[tuple[int, int]]:
     Trial division by d below _TRIAL_DIVISION_BOUND, stopping once d * d
     exceeds what is left.  What is left then has no factor below d: a part
     below d * d is prime, is_prime decides any other part, and a composite
-    part is split by _rho_factor.  BadParamsError for a part at or above the
-    Miller-Rabin bound (is_prime cannot decide it)."""
+    part is split by _rho_factor.  A part at or above the Miller-Rabin bound,
+    which is_prime cannot decide, gets _RHO_BUDGET rho steps first, and
+    is_prime refuses it (BadParamsError) only if they find no factor."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need a positive integer, got {n!r}")
     exps: dict[int, int] = {}
@@ -100,23 +105,28 @@ def _factor(n: int) -> list[tuple[int, int]]:
     parts = [rest] if rest > 1 else []
     while parts:
         m = parts.pop()
-        if m < d * d or is_prime(m):
+        f = _rho_factor(m, _RHO_BUDGET) if m >= _MILLER_RABIN_LIMIT else None
+        if f is None and (m < d * d or is_prime(m)):
             exps[m] = exps.get(m, 0) + 1
         else:
-            f = _rho_factor(m)
+            f = f or _rho_factor(m)
             parts += [f, m // f]
     return sorted(exps.items())
 
 
-def _rho_factor(n: int) -> int:
+def _rho_factor(n: int, budget: float = math.inf) -> int | None:
     """A proper factor of an odd composite n, by Pollard's rho with Brent's
     cycle finding (R. P. Brent, BIT 20, 1980): the map y -> y^2 + c from the
-    fixed start y = 2, with the next c when a run ends in n itself."""
+    fixed start y = 2, with the next c when a run ends in n itself.  None
+    when ``budget`` steps in all find no factor."""
     c = 1
     while True:
         x = y = 2
         power = steps = g = 1
         while g == 1:
+            if not budget:
+                return None
+            budget -= 1
             if steps == power:
                 x, power, steps = y, 2 * power, 0
             y = (y * y + c) % n

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from functools import cached_property, partial
+from itertools import repeat
 
 
 class EmptyInputError(ValueError):
@@ -120,11 +121,22 @@ class DivisorPoset:
         return tuple(i for i in _bits(self._up[j]) if j in self._covered[i])
 
     @cached_property
+    def _gcd_pass(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The one pass over pairs of members: for each index b, the lowest
+        index of gcd(x_a, x_b) over a > b (-1 when one of those gcds is not a
+        member, n for the last b); and the set of gcds of distinct members."""
+        els, present = self.elements, self._index
+        low, meets = [], set()
+        for b, x in enumerate(els):
+            gs = set(map(math.gcd, els[b + 1:], repeat(x)))
+            meets |= gs
+            low.append(-1 if not present.keys() >= gs else
+                       present[min(gs)] if gs else len(els))
+        return tuple(low), frozenset(meets)
+
+    @cached_property
     def gcd_closed(self) -> bool:
-        els = self.elements
-        present = self._index
-        return all(math.gcd(els[a], els[b]) in present
-                   for a in range(len(els)) for b in range(a))
+        return -1 not in self._gcd_pass[0]
 
     def __repr__(self) -> str:
         return f"DivisorPoset({list(self.elements)})"

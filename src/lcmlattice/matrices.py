@@ -221,17 +221,17 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
     divisibility indicator, Lambda the diagonal of Psi values.  The identity is
     checked entrywise (else VerificationError): entry (i, j) of the product
     divided by x_i * x_j is the sum of Psi over the common divisors of x_i and
-    x_j in the set, which must equal 1 / gcd(x_i, x_j).
+    x_j in the set, which must equal 1 / gcd(x_i, x_j).  Entries with the same
+    common divisors and gcd share one check: n of them on a gcd-closed set.
     """
     _require_gcd_closed(p)
     n = p.n
     els = p.elements
     values = psi(p).values
-    for i in range(n):
-        for j in range(i + 1):
-            _verify(sum((values[k] for k in _bits(p._down[i] & p._down[j])),
-                        start=Fraction(0)) == Fraction(1, math.gcd(els[i], els[j])),
-                    "factorization identity failed")
+    for common, g in {(p._down[i] & p._down[j], math.gcd(els[i], els[j]))
+                      for i in range(n) for j in range(i + 1)}:
+        _verify(sum((values[k] for k in _bits(common)), start=Fraction(0)) == Fraction(1, g),
+                "factorization identity failed")
     delta = ExactMatrix.diagonal(els)
     e = ExactMatrix([[1 if p.leq(j, i) else 0 for j in range(n)] for i in range(n)])
     return delta, e, ExactMatrix.diagonal(values)

@@ -403,10 +403,27 @@ class TestSearch:
         assert rep["max_iplus"] == 1 and rep["witness"] == ["1", "998244353"]
 
     def test_universe_past_the_primality_bound_exits_one(self, capsys):
-        code, out, err = run_cli(["search", "--n", "2", "--universe",
-                                  "3317044064679887385961981"], capsys)
+        # Rho splits neither within its step budget: 2^89 - 1 is prime, and
+        # the bound itself is 1287836182261 * 2575672364521.
+        for u in ("3317044064679887385961981", "618970019642690137449562111"):
+            code, out, err = run_cli(["search", "--n", "2", "--universe", u], capsys)
+            assert (code, out) == (1, "")
+            assert f"cannot decide whether {u} is prime" in err
+
+    def test_universe_past_the_primality_bound_split_by_rho(self, capsys):
+        # 1009^9 has 10 divisors; rho splits it within its budget.
+        code, out, _ = run_cli(["search", "--json", "--n", "2", "--universe",
+                                str(1009 ** 9)], capsys)
+        assert code == 0
+        assert json.loads(out)["witness"] == ["1", "1009"]
+
+    def test_huge_universe_is_counted_not_refused_as_undecidable(self, capsys):
+        # The primes up to 1000 multiply to about 10^416; rho splits every
+        # part past the primality bound, so the divisor count is what fails.
+        code, out, err = run_cli(["search", "--n", "2", "--max-prime", "1000"], capsys)
         assert (code, out) == (1, "")
-        assert "cannot decide whether 3317044064679887385961981 is prime" in err
+        assert "divisors, more than the 4096 allowed" in err
+        assert "cannot decide" not in err
 
     def test_too_many_divisors_exits_one(self, capsys):
         # The primes up to 53 give 2^16 divisors, past the 4096 allowed; the

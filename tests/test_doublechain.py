@@ -205,6 +205,53 @@ class TestDecomposition:
                 assert sorted(d.chain_a + d.chain_b) == list(d.core.members)
 
 
+def _closed_brute(xs) -> bool:
+    return all(math.gcd(a, b) in xs for a, b in combinations(xs, 2))
+
+
+def _a_set_brute(xs) -> bool:
+    meets = {math.gcd(a, b) for a, b in combinations(xs, 2)}
+    return all(g % h == 0 or h % g == 0 for g, h in combinations(meets, 2))
+
+
+def _r_fold_brute(xs, r: int) -> bool:
+    head, tail = xs[:r], xs[r:]
+    return (all(b % a == 0 for a, b in combinations(head, 2))
+            and (not head or tail[0] % head[-1] == 0)
+            and _closed_brute(tail))
+
+
+def _chain_below(mults, ys) -> list[int]:
+    """The chain 1 | m_1 | m_1 m_2 | ..., with its top times each of ys."""
+    chain = [1]
+    for m in mults:
+        chain.append(chain[-1] * m)
+    return chain + [chain[-1] * y for y in ys]
+
+
+_INTS = st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=10)
+_SETS = st.one_of(
+    _INTS,
+    _INTS.map(gcd_closure),
+    st.lists(st.integers(min_value=2, max_value=5), max_size=12).map(
+        lambda ms: _chain_below(ms, [1])),
+    st.builds(_chain_below, st.lists(st.integers(min_value=2, max_value=5), max_size=5),
+              st.one_of(_INTS, _INTS.map(gcd_closure))),
+)
+
+
+class TestClassifiersAgainstBruteForce:
+    @given(_SETS)
+    @settings(max_examples=400, deadline=None)
+    def test_every_classifier_and_every_fold(self, xs):
+        p = build_poset(xs)
+        els = p.elements
+        assert p.gcd_closed == _closed_brute(els)
+        assert is_a_set(p) == _a_set_brute(els)
+        assert ([is_r_fold_gcd_closed(p, r) for r in range(p.n)]
+                == [_r_fold_brute(els, r) for r in range(p.n)])
+
+
 class TestASet:
     def test_examples(self):
         assert is_a_set(build_poset([1, 2, 4, 12]))

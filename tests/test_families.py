@@ -67,6 +67,11 @@ class TestDivisors:
         # Past the Miller-Rabin bound, but nothing is left to decide.
         assert len(divisors(2 ** 100)) == 101
 
+    def test_part_past_the_primality_bound_is_split_by_rho(self):
+        # Above the Miller-Rabin bound with no factor below 64: the budgeted
+        # rho splits it, and the composite parts it finds are split again.
+        assert families._factor(1009 ** 5 * 1_000_003 ** 2) == [(1009, 5), (1_000_003, 2)]
+
 
 class TestIsPrime:
     def test_matches_trial_division(self):
