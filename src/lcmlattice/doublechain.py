@@ -183,7 +183,7 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
 
 def is_a_set(p: DivisorPoset) -> bool:
     """True when the pairwise gcds of distinct members form a single chain."""
-    meets = sorted(p._gcd_pass[1])
+    meets = sorted(p._meets)
     return all(b % a == 0 for a, b in zip(meets, meets[1:]))
 
 
@@ -202,6 +202,6 @@ def is_r_fold_gcd_closed(p: DivisorPoset, r: int) -> bool:
     n = p.n
     if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= n - 1:
         raise BadFoldCountError(f"fold count must be an integer in 0..{n - 1}, got {r!r}")
-    els, (low, _) = p.elements, p._gcd_pass
+    els, low = p.elements, p._low_meet
     return (all(b % a == 0 for a, b in zip(els[:r], els[1:r + 1]))
             and min(low[r:]) >= r)

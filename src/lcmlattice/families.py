@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .lattice import DivisorPoset, _bits, _verify, meet
+from .lattice import DivisorPoset, _bits, _verify
 from .matrices import _w_by_crosscut, _w_by_recursion
 
 
@@ -40,15 +40,12 @@ _MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """True when n is an int prime (bools and values below 2 are not).
 
-    Deterministic Miller-Rabin, exact below 3,317,044,064,679,887,385,961,981;
-    BadParamsError at or above that bound rather than a guess.
+    Deterministic Miller-Rabin, exact below 3,317,044,064,679,887,385,961,981.
+    A witness proves n composite at any size, so BadParamsError, rather than a
+    guess, comes only when no base witnesses an n at or above that bound.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
-    if n >= _MILLER_RABIN_LIMIT:
-        raise BadParamsError(
-            f"cannot decide whether {n} is prime: the primality test is exact "
-            f"only below {_MILLER_RABIN_LIMIT}")
     for b in _MILLER_RABIN_BASES:
         if n % b == 0:
             return n == b
@@ -65,6 +62,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MILLER_RABIN_LIMIT:
+        raise BadParamsError(
+            f"cannot decide whether {n} is prime: the primality test is exact "
+            f"only below {_MILLER_RABIN_LIMIT}")
     return True
 
 
@@ -80,8 +81,8 @@ def _require_distinct_primes(values: Sequence[int], what: str) -> None:
 #: splits what is left.
 _TRIAL_DIVISION_BOUND = 64
 
-#: Rho steps a part at or above the Miller-Rabin bound gets before it is refused:
-#: rho finds a prime factor p in about sqrt(p) steps, but never ends on a prime.
+#: Rho steps a composite part at or above the Miller-Rabin bound gets before it
+#: is refused: rho finds a prime factor p in about sqrt(p) steps.
 _RHO_BUDGET = 1 << 16
 
 
@@ -90,10 +91,10 @@ def _factor(n: int) -> list[tuple[int, int]]:
 
     Trial division by d below _TRIAL_DIVISION_BOUND, stopping once d * d
     exceeds what is left.  What is left then has no factor below d: a part
-    below d * d is prime, is_prime decides any other part, and a composite
-    part is split by _rho_factor.  A part at or above the Miller-Rabin bound,
-    which is_prime cannot decide, gets _RHO_BUDGET rho steps first, and
-    is_prime refuses it (BadParamsError) only if they find no factor."""
+    below d * d is prime, is_prime decides any other part, and _rho_factor
+    splits a part is_prime proves composite.  At or above the Miller-Rabin
+    bound, rho gets _RHO_BUDGET steps, and a part they do not split is refused
+    (BadParamsError), as is a part is_prime cannot decide."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamsError(f"need a positive integer, got {n!r}")
     exps: dict[int, int] = {}
@@ -105,16 +106,18 @@ def _factor(n: int) -> list[tuple[int, int]]:
     parts = [rest] if rest > 1 else []
     while parts:
         m = parts.pop()
-        f = _rho_factor(m, _RHO_BUDGET) if m >= _MILLER_RABIN_LIMIT else None
-        if f is None and (m < d * d or is_prime(m)):
+        if m < d * d or is_prime(m):
             exps[m] = exps.get(m, 0) + 1
-        else:
-            f = f or _rho_factor(m)
-            parts += [f, m // f]
+            continue
+        f = _rho_factor(m, _RHO_BUDGET if m >= _MILLER_RABIN_LIMIT else math.inf)
+        if f is None:
+            raise BadParamsError(f"cannot factor {m}: it is composite, but "
+                                 f"{_RHO_BUDGET} steps of Pollard's rho found no factor")
+        parts += [f, m // f]
     return sorted(exps.items())
 
 
-def _rho_factor(n: int, budget: float = math.inf) -> int | None:
+def _rho_factor(n: int, budget: float) -> int | None:
     """A proper factor of an odd composite n, by Pollard's rho with Brent's
     cycle finding (R. P. Brent, BIT 20, 1980): the map y -> y^2 + c from the
     fixed start y = 2, with the next c when a run ends in n itself.  None
@@ -220,7 +223,9 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     its count of positive Psi values.
 
     A depth-first search extends the path only by larger elements whose meets
-    with the path lie on it, and only while enough larger elements remain.
+    with the path lie on it (the universe is gcd closed, so the meet of two
+    indices is the highest one in both down-sets), and only while enough
+    larger elements remain.
     Each element appended gets w = x * Psi(x) from the recursion over its
     strict divisors on the path and from the crosscut over the elements it
     covers on the path (VerificationError if they differ), and the positive
@@ -232,8 +237,7 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     before computing another weight, once its count plus the places left to
     fill is no more than the best.  With ``beat=None`` every set is yielded.
     """
-    k, els = u.n, u.elements
-    meets = [[meet(u, a, b) for b in range(a)] for a in range(k)]
+    k, els, down = u.n, u.elements, u._down
     w = [0] * k              # w of each universe index on the current path
     chosen: list[int] = []
     best = -1 if beat is None else beat    # every count beats -1
@@ -250,9 +254,10 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
         for a in range(start, k - left + 1):
             if plus + left <= best:
                 return
-            if not all(mask >> meets[a][t] & 1 for t in chosen):
+            da = down[a]
+            if not all(mask >> (da & down[t]).bit_length() - 1 & 1 for t in chosen):
                 continue
-            x, strict = els[a], u._down[a] & mask
+            x, strict = els[a], da & mask
             lower = list(_bits(strict))
             w[a] = _w_by_recursion(x, [(els[b], w[b]) for b in lower])
             covers = [els[b] for b in lower if not u._up[b] & strict]
@@ -265,7 +270,7 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     return rec(0, 0, 0)
 
 
-#: The most divisors a universe may have: the walk's poset and meets are quadratic.
+#: The most divisors a universe may have: its poset takes a gcd for every pair.
 _MAX_UNIVERSE_DIVISORS = 4096
 
 

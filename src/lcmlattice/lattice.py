@@ -72,21 +72,25 @@ class DivisorPoset:
         self._index = {x: i for i, x in enumerate(self.elements)}
         n = len(self.elements)
 
-        # _down[i] is the bitmask of indices j with x_j | x_i (including i);
-        # _up[j] is the strict dual (indices i != j with x_j | x_i).
-        down = []
-        for i, x in enumerate(self.elements):
-            m = 0
-            for j in range(i + 1):
-                if x % self.elements[j] == 0:
-                    m |= 1 << j
-            down.append(m)
-        up = [0] * n
-        for i in range(n):
-            for j in _bits(down[i] & ~(1 << i)):
-                up[j] |= 1 << i
-        self._down = tuple(down)
-        self._up = tuple(up)
+        # One pass reads g = gcd(x_a, x_b) for each pair a > b: g == x_b sets bit a
+        # of _up[b] and bit b of _down[a] (which also holds a); _low_meet[b] is the
+        # lowest index of these g (-1 if one is not a member, n for the last b).
+        els, present = self.elements, self._index
+        up, down, low, meets = [], [1 << i for i in range(n)], [], set()
+        for b, x in enumerate(els):
+            gs = list(map(math.gcd, els[b + 1:], repeat(x)))
+            bit, m = 1 << b, 0
+            for a, g in enumerate(gs, b + 1):
+                if g == x:
+                    m |= 1 << a
+                    down[a] |= bit
+            up.append(m)
+            gs = set(gs)
+            meets |= gs     # the gcds of distinct members
+            low.append(-1 if not present.keys() >= gs else
+                       present[min(gs)] if gs else n)
+        self._down, self._up = tuple(down), tuple(up)
+        self._low_meet, self._meets = tuple(low), frozenset(meets)
 
         covered = []
         for i in range(n):
@@ -121,22 +125,8 @@ class DivisorPoset:
         return tuple(i for i in _bits(self._up[j]) if j in self._covered[i])
 
     @cached_property
-    def _gcd_pass(self) -> tuple[tuple[int, ...], frozenset[int]]:
-        """The one pass over pairs of members: for each index b, the lowest
-        index of gcd(x_a, x_b) over a > b (-1 when one of those gcds is not a
-        member, n for the last b); and the set of gcds of distinct members."""
-        els, present = self.elements, self._index
-        low, meets = [], set()
-        for b, x in enumerate(els):
-            gs = set(map(math.gcd, els[b + 1:], repeat(x)))
-            meets |= gs
-            low.append(-1 if not present.keys() >= gs else
-                       present[min(gs)] if gs else len(els))
-        return tuple(low), frozenset(meets)
-
-    @cached_property
     def gcd_closed(self) -> bool:
-        return -1 not in self._gcd_pass[0]
+        return -1 not in self._low_meet
 
     def __repr__(self) -> str:
         return f"DivisorPoset({list(self.elements)})"

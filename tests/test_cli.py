@@ -403,12 +403,22 @@ class TestSearch:
         assert rep["max_iplus"] == 1 and rep["witness"] == ["1", "998244353"]
 
     def test_universe_past_the_primality_bound_exits_one(self, capsys):
-        # Rho splits neither within its step budget: 2^89 - 1 is prime, and
-        # the bound itself is 1287836182261 * 2575672364521.
+        # No Miller-Rabin base witnesses either: 2^89 - 1 is prime, and the
+        # bound itself, 1287836182261 * 2575672364521, is a strong pseudoprime
+        # to all 13 bases.
         for u in ("3317044064679887385961981", "618970019642690137449562111"):
             code, out, err = run_cli(["search", "--n", "2", "--universe", u], capsys)
             assert (code, out) == (1, "")
             assert f"cannot decide whether {u} is prime" in err
+
+    def test_composite_past_the_primality_bound_rho_cannot_split_exits_one(self, capsys):
+        # 10000000000037 * 20000000000021: a witness proves it composite, but
+        # rho needs about 3 * 10^6 steps, past its budget.
+        u = str(10000000000037 * 20000000000021)
+        code, out, err = run_cli(["search", "--n", "2", "--universe", u], capsys)
+        assert (code, out) == (1, "")
+        assert f"cannot factor {u}" in err
+        assert "cannot decide" not in err
 
     def test_universe_past_the_primality_bound_split_by_rho(self, capsys):
         # 1009^9 has 10 divisors; rho splits it within its budget.
@@ -427,7 +437,7 @@ class TestSearch:
 
     def test_too_many_divisors_exits_one(self, capsys):
         # The primes up to 53 give 2^16 divisors, past the 4096 allowed; the
-        # poset and meet table of that universe would not finish.
+        # gcd of every pair of them, which its poset takes, would not finish.
         code, out, err = run_cli(["search", "--json", "--n", "2", "--max-prime",
                                   "53"], capsys)
         assert (code, out) == (1, "")

@@ -221,6 +221,13 @@ def _r_fold_brute(xs, r: int) -> bool:
             and _closed_brute(tail))
 
 
+def _covered_brute(xs, i: int) -> tuple[int, ...]:
+    """Indices j whose x_j divides x_i with nothing of xs strictly between."""
+    below = [j for j, y in enumerate(xs) if j != i and xs[i] % y == 0]
+    return tuple(j for j in below
+                 if not any(k != j and xs[k] % xs[j] == 0 for k in below))
+
+
 def _chain_below(mults, ys) -> list[int]:
     """The chain 1 | m_1 | m_1 m_2 | ..., with its top times each of ys."""
     chain = [1]
@@ -246,6 +253,10 @@ class TestClassifiersAgainstBruteForce:
     def test_every_classifier_and_every_fold(self, xs):
         p = build_poset(xs)
         els = p.elements
+        assert all(p.leq(j, i) == (els[i] % els[j] == 0)
+                   for i in range(p.n) for j in range(p.n))
+        assert [p.covered(i) for i in range(p.n)] == [_covered_brute(els, i)
+                                                       for i in range(p.n)]
         assert p.gcd_closed == _closed_brute(els)
         assert is_a_set(p) == _a_set_brute(els)
         assert ([is_r_fold_gcd_closed(p, r) for r in range(p.n)]

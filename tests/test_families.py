@@ -95,6 +95,12 @@ class TestIsPrime:
         assert not families.is_prime(True)
         assert not families.is_prime(7.0)  # type: ignore[arg-type]
 
+    def test_witness_decides_past_the_bound(self):
+        # A Miller-Rabin witness proves compositeness at any size; the
+        # trial-division bases decide multiples of themselves.
+        assert not families.is_prime(10000000000037 * 20000000000021)
+        assert not families.is_prime(families._MILLER_RABIN_LIMIT + 2)
+
     def test_refuses_to_guess_at_the_bound(self):
         with pytest.raises(BadParamsError, match="exact only below"):
             families.is_prime(families._MILLER_RABIN_LIMIT)
