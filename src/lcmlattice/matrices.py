@@ -258,6 +258,17 @@ def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
     eigenvalue of sign sign(pivot) * sign(previous pivot), and an all-zero
     block left counts as zeros.
 
+    Rows are scaled lazily.  At a step where row i has lead a_ik = 0, the
+    Schur complement row does not change, and Bareiss would only multiply
+    the row by pivot / prev; it is left as it is.  So with p_s the last pivot
+    and p_{t_i} = scale[i] the pivot of the last step that updated row i (1
+    before any), the Bareiss row is R_i * p_s / p_{t_i} for the stored row
+    R_i.  A row with a nonzero lead becomes (R_i * pivot - a_ik * row_k) /
+    p_{t_i}: that is the Bareiss update of R_i * p_s / p_{t_i}, an integer,
+    so the division is exact; then scale[i] = pivot.  The pivot row and both
+    rows of a row add are first brought to p_s.  Zero tests read the stored
+    rows: a nonzero ratio keeps zeros.
+
     If the diagonal left is all 0, row j, the first with a nonzero entry in
     the first nonzero column k, is added to row k.  On a symmetric block the
     rows before k and a_ik for k < i < j are 0, so after the pivot a_jk the
@@ -267,28 +278,42 @@ def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
     pivots give one plus and one minus, as [[0, b], [b, 0]] does.
     """
     rest = list(range(len(a)))
+    scale = [1] * len(a)
     plus = minus = 0
     prev = 1
+
+    def current(i: int) -> list[int]:
+        row, s = a[i], scale[i]
+        if s != prev:
+            for c in rest:
+                row[c] = row[c] * prev // s
+            scale[i] = prev
+        return row
+
     while rest:
         k = next((i for i in rest if a[i][i]), None)
         if k is None:
             j, k = next(((j, k) for k in rest for j in rest if a[j][k]), (None, None))
             if k is None:
                 break
+            row_j, row_k = current(j), current(k)
             for t in rest:
-                a[k][t] += a[j][t]
-        pivot = a[k][k]
+                row_k[t] += row_j[t]
+        row_k = current(k)
+        pivot = row_k[k]
         if (pivot > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         rest.remove(k)
-        row_k = a[k]
         for i in rest:
             row_i = a[i]
             lead = row_i[k]
-            for c in rest:
-                row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // prev
+            if lead:
+                s = scale[i]
+                for c in rest:
+                    row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // s
+                scale[i] = pivot
         prev = pivot
     return plus, minus, len(rest), 0 if rest else prev
 

@@ -72,6 +72,19 @@ class TestDivisors:
         # rho splits it, and the composite parts it finds are split again.
         assert families._factor(1009 ** 5 * 1_000_003 ** 2) == [(1009, 5), (1_000_003, 2)]
 
+    def test_batch_gcd_of_n_is_retraced_step_by_step(self, monkeypatch):
+        # 67 * 71: rho with c = 1 first meets 67 at step 16, and 71 later in
+        # the same batch, so the batch's gcd is n.  The retrace from the
+        # batch's first y finds 67; moving on to c = 2 would find 71.
+        n, real, seen = 67 * 71, math.gcd, []
+
+        def spy(a, b):
+            seen.append(real(a, b))
+            return seen[-1]
+        monkeypatch.setattr(families.math, "gcd", spy)
+        assert families._rho_factor(n, math.inf) == 67
+        assert n in seen
+
 
 class TestIsPrime:
     def test_matches_trial_division(self):

@@ -8,7 +8,6 @@ import io
 import math
 from collections import defaultdict
 from fractions import Fraction as F
-from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -51,17 +50,24 @@ from lcmlattice import (
 
 
 def permutation_determinant(m: ExactMatrix) -> F:
-    """Textbook sum over permutations.  Only for tiny matrices."""
+    """Textbook sum over permutations, walking only those whose entries are
+    all nonzero.  Only for tiny or sparse matrices."""
     n = m.rows
-    assert n <= 6
+    assert n <= 8
     acc = F(0)
-    for perm in permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                         if perm[a] > perm[b])
-        term = F(-1) ** inversions
-        for r in range(n):
-            term *= m[(r, perm[r])]
-        acc += term
+
+    def walk(perm: list[int], term: F) -> None:
+        nonlocal acc
+        r = len(perm)
+        if r == n:
+            inversions = sum(1 for a in range(n) for b in range(a + 1, n)
+                             if perm[a] > perm[b])
+            acc += (-1) ** inversions * term
+            return
+        for c in range(n):
+            if c not in perm and m[(r, c)]:
+                walk(perm + [c], term * m[(r, c)])
+    walk([], F(1))
     return acc
 
 
@@ -131,6 +137,22 @@ def zero_diagonal_int_matrices(draw) -> list[list[int]]:
          for i in range(n)]
     if draw(st.booleans()):
         a = [[a[i][j] if j < i else -a[j][i] for j in range(n)] for i in range(n)]
+    return a
+
+
+@st.composite
+def sparse_int_matrices(draw) -> list[list[int]]:
+    """Integer matrices of order up to 8, mostly 0, symmetric or not: most
+    rows have lead 0 at most pivots, so the elimination leaves them stale."""
+    n = draw(st.integers(0, 8))
+    symmetric = draw(st.booleans())
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if symmetric else n):
+            a[i][j] = draw(entry)
+            if symmetric:
+                a[j][i] = a[i][j]
     return a
 
 
@@ -523,6 +545,42 @@ class TestCharpolyOracle:
             assert inertia_charpoly_oracle(m) == inertia
             assert determinant_exact(m) == det
             assert congruence_oracle(m) == (inertia, det)
+
+
+class TestLazyRowScaling:
+    """_eliminate leaves a row with lead 0 as it is and brings it to the
+    current scale only when it is next updated, pivots or is added."""
+
+    @pytest.mark.parametrize("a, want", [
+        # [2] + [[3, 1], [1, 5]] + [[0, 1], [1, 0]]: every row skips the first
+        # pivot.  Row 1 is then a stale pivot row, row 2 a stale row with a
+        # nonzero lead, and the stale rows 3 and 4 meet in the row add once
+        # the diagonal left is all 0.
+        ([[2, 0, 0, 0, 0], [0, 3, 1, 0, 0], [0, 1, 5, 0, 0], [0, 0, 0, 0, 1],
+          [0, 0, 0, 1, 0]], (4, 1, 0, -28)),
+        # A zero diagonal: the rows of the later row adds were last updated
+        # at different pivots, so both must be brought to scale first.
+        ([[0, 0, -3, 0, 0, -2, 0], [0, 0, 1, 0, 3, 3, 0], [-3, 1, 0, 0, 0, 0, 0],
+          [0, 0, 0, 0, 0, 0, 3], [0, 3, 0, 0, 0, 2, 0], [-2, 3, 0, 0, 2, 0, 0],
+          [0, 0, 0, 3, 0, 0, 0]], (3, 4, 0, 2268)),
+    ])
+    def test_stale_rows_pivot_update_and_meet_in_the_row_add(self, a, want):
+        m = ExactMatrix(a)
+        assert matrices._eliminate([row[:] for row in a]) == want
+        assert determinant_exact(m) == permutation_determinant(m) == want[3]
+        triple, det = congruence_oracle(m)
+        assert triple.as_tuple() == charpoly_inertia(a) == want[:3]
+        assert det == sympy.Matrix(a).det()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_int_matrices())
+    def test_sparse_matrices_match_the_third_oracles(self, a):
+        m = ExactMatrix(a)
+        assert determinant_exact(m) == permutation_determinant(m)
+        if m.is_symmetric:
+            triple, det = congruence_oracle(m)
+            assert triple.as_tuple() == charpoly_inertia(a)
+            assert det == sympy.Matrix(a).det()
 
 
 class TestSignClassification:
