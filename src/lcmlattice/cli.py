@@ -5,9 +5,10 @@ family and report on it), mobius (table or single column), dot (Hasse
 diagram), search (max positive eigenvalue count over universes), closure
 (gcd closure of a set).
 
-Exit codes: 0 success; 1 usage, parse, or parameter errors; 2 when the input
-set is not gcd closed and --close was not given; 3 when two independent
-routes to the same result disagreed (a fault in the program, not the input).
+Exit codes: 0 success; 1 usage, parse, or parameter errors, or a stdout
+closed before the output was written (no traceback); 2 when the input set is
+not gcd closed and --close was not given; 3 when two independent routes to
+the same result disagreed (a fault in the program, not the input).
 
 JSON output serializes every set element and every rational as a string
 ("30", "-4/15") so arbitrary precision survives; structural counts stay JSON
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from decimal import Decimal
@@ -378,7 +380,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at exit
+        # cannot raise again (the recipe in the signal module's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NotGcdClosedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -251,8 +251,15 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     With an int ``beat``, only the sets whose count exceeds the best so far
     are yielded: the best starts at ``beat`` and rises with each yield.  Each
     element appended adds at most 1 to the count, so the walk leaves a node,
-    before computing another weight, once its count plus the places left to
-    fill is no more than the best.  With ``beat=None`` every set is yielded.
+    before computing another weight, once its reach, its count plus the
+    places left to fill, is no more than the best.  With ``beat=None`` every
+    set is yielded.
+
+    While the path holds fewer than two elements of a set of size >= 2, the
+    reach is one less.  In a gcd-closed set in ascending order, x_0 is the
+    gcd of all the elements, so the only strict divisor of x_1 in the set is
+    x_0: x_1 covers x_0 alone, and w_1 = 1 - x_1 / x_0 < 0.  So the place
+    of x_1, which is still to fill, adds nothing to the count.
     """
     k, els, down = u.n, u.elements, u._down
     w = [0] * k              # w of each universe index on the current path
@@ -268,8 +275,9 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
                     best = plus
                 yield tuple(chosen), plus
             return
+        reach = plus + left - (len(chosen) < 2 <= size)
         for a in range(start, k - left + 1):
-            if plus + left <= best:
+            if reach <= best:
                 return
             da = down[a]
             if not all(mask >> (da & down[t]).bit_length() - 1 & 1 for t in chosen):

@@ -239,16 +239,21 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
 
 def _scaled_to_int(m: ExactMatrix) -> tuple[list[list[int]], int]:
     """A square matrix times the lcm of its denominators, as integer rows, and
-    that multiplier; NonSquareError for a non-square matrix."""
+    that multiplier (1 for an all-integer matrix); NonSquareError for a
+    non-square matrix."""
     if not m.is_square:
         raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
+    if all(type(v) is int for row in m.entries for v in row):
+        return [list(row) for row in m.entries], 1
     scale = math.lcm(*(v.denominator for row in m.entries for v in row))
     return [[int(v * scale) for v in row] for row in m.entries], scale
 
 
-def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
+def _eliminate(a: list[list[int]], prev: int = 1) -> tuple[int, int, int, int]:
     """Fraction-free elimination of a square integer matrix (destructive):
-    (plus, minus, zero, det).
+    (plus, minus, zero, det).  With ``prev`` given, the matrix is a block
+    left after pivots whose last was ``prev``, at that scale; det is then the
+    last pivot of the whole elimination.
 
     The pivot is the first nonzero diagonal entry left.  Updates divide
     exactly by the previous pivot, as in Bareiss, and every step has
@@ -261,9 +266,9 @@ def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
     Rows are scaled lazily.  At a step where row i has lead a_ik = 0, the
     Schur complement row does not change, and Bareiss would only multiply
     the row by pivot / prev; it is left as it is.  So with p_s the last pivot
-    and p_{t_i} = scale[i] the pivot of the last step that updated row i (1
-    before any), the Bareiss row is R_i * p_s / p_{t_i} for the stored row
-    R_i.  A row with a nonzero lead becomes (R_i * pivot - a_ik * row_k) /
+    and p_{t_i} = scale[i] the pivot of the last step that updated row i
+    (prev before any), the Bareiss row is R_i * p_s / p_{t_i} for the stored
+    row R_i.  A row with a nonzero lead becomes (R_i * pivot - a_ik * row_k) /
     p_{t_i}: that is the Bareiss update of R_i * p_s / p_{t_i}, an integer,
     so the division is exact; then scale[i] = pivot.  The pivot row and both
     rows of a row add are first brought to p_s.  Zero tests read the stored
@@ -278,9 +283,8 @@ def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
     pivots give one plus and one minus, as [[0, b], [b, 0]] does.
     """
     rest = list(range(len(a)))
-    scale = [1] * len(a)
+    scale = [prev] * len(a)
     plus = minus = 0
-    prev = 1
 
     def current(i: int) -> list[int]:
         row, s = a[i], scale[i]
@@ -318,9 +322,64 @@ def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
     return plus, minus, len(rest), 0 if rest else prev
 
 
+def _eliminate_symmetric(a: list[list[int]]) -> tuple[int, int, int, int]:
+    """_eliminate on a symmetric integer matrix, reading and writing only the
+    entries on or above the diagonal (destructive): (plus, minus, zero, det).
+
+    Pivots, lazy row scaling and exact divisions are those of _eliminate, so
+    the result is the same.  Only the reads change.  With prev the last
+    pivot, the block left is symmetric: its entry (i, c) is a[i][c] * prev /
+    scale[i] for c >= i.  So the pivot row's entry left of the diagonal,
+    column c < k, is read from column k of row c, and the lead of row i at
+    pivot k is the pivot row's entry at column i, brought back to row i's
+    stored scale.  Each row is updated only from its diagonal rightwards.
+    If the diagonal left is all 0, both halves of the block left are filled
+    at scale prev, and _eliminate finishes it with its row add.
+    """
+    rest = list(range(len(a)))
+    scale = [1] * len(a)
+    plus = minus = 0
+    prev = 1
+    while rest:
+        pos = next((p for p, i in enumerate(rest) if a[i][i]), None)
+        if pos is None:
+            block = [[0] * len(rest) for _ in rest]
+            for p, i in enumerate(rest):
+                row, s = a[i], scale[i]
+                for q in range(p, len(rest)):
+                    block[p][q] = block[q][p] = row[rest[q]] * prev // s
+            more_plus, more_minus, zero, det = _eliminate(block, prev)
+            return plus + more_plus, minus + more_minus, zero, det
+        k = rest[pos]
+        row_k, s = a[k], scale[k]
+        for c in rest[:pos]:
+            row_k[c] = a[c][k] * prev // scale[c]
+        if s != prev:
+            for c in rest[pos:]:
+                row_k[c] = row_k[c] * prev // s
+        pivot = row_k[k]
+        if (pivot > 0) == (prev > 0):
+            plus += 1
+        else:
+            minus += 1
+        del rest[pos]
+        for p, i in enumerate(rest):
+            lead = row_k[i]
+            if lead:
+                row_i, s = a[i], scale[i]
+                if s != prev:
+                    lead = lead * s // prev
+                for c in rest[p:]:
+                    row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // s
+                scale[i] = pivot
+        prev = pivot
+    return plus, minus, 0, prev
+
+
 def determinant_exact(m: ExactMatrix) -> Fraction:
     """Exact determinant of any square rational matrix, by the fraction-free
-    elimination congruence_oracle runs on symmetric ones."""
+    elimination whose upper-triangle form congruence_oracle runs on symmetric
+    ones."""
     rows, scale = _scaled_to_int(m)
     return Fraction(_eliminate(rows)[3], scale ** m.rows)
 
@@ -360,7 +419,7 @@ def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
     a, scale = _scaled_to_int(m)
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    plus, minus, zero, det = _eliminate(a)
+    plus, minus, zero, det = _eliminate_symmetric(a)
     _verify(plus + minus + zero == m.rows, "congruence counts failed to add up")
     return InertiaTriple(plus, minus, zero), Fraction(det, scale ** m.rows)
 

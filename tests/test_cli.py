@@ -468,6 +468,28 @@ def test_console_script_entry_point():
     assert "determinant" in proc.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["family", "cube", "--index", "3", "--json"],
+    ["search", "--json", "--n", "2", "--universe", "30"],
+    ["analyze", "1", "2", "6"],
+], ids=["family", "search", "analyze"])
+def test_closed_stdout_exits_one_quietly(args):
+    # The read end is closed before the child starts, as when `| head -c 10`
+    # has already exited: every write fails with EPIPE.
+    src = Path(lcmlattice.__file__).parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcmlattice.cli", *args], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_verification_survives_optimized_mode():
     # -O strips assert statements; the report's oracle checks must not vanish.
     src = Path(lcmlattice.__file__).parents[1]

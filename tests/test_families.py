@@ -356,7 +356,8 @@ class TestSearch:
         (1, (6,)), (3, (30,)), (5, DEFAULT_SEARCH_UNIVERSES),
         (8, DEFAULT_SEARCH_UNIVERSES), (10, DEFAULT_SEARCH_UNIVERSES),
         (6, (2310,)), (7, (216, 210)), (4, (30, 210)), (5, (210, 30)),
-        (64, (30030,)),
+        (64, (30030,)), (2, (6,)), (2, (30030,)), (2, (216, 210)),
+        (2, DEFAULT_SEARCH_UNIVERSES),
     ])
     def test_bound_matches_unbounded_walk(self, n, universes):
         # The reference walks every set with no bound and keeps the first
@@ -382,6 +383,21 @@ class TestSearch:
         assert list(families._closed_index_subsets(p, 6, beat=best)) == []
         assert [plus for _, plus in families._closed_index_subsets(p, 6, beat=1)] \
             == [plus for _, plus in records if plus > 1]
+
+    def test_size_two_stops_at_the_first_set(self, monkeypatch):
+        # The second element of a set covers only the first, so its weight
+        # is negative and a 2-set counts at most 1: once the first set, with
+        # count 1, is found, no node can beat it.
+        calls = [0]
+        real = families._w_by_recursion
+
+        def counted(x, lower):
+            calls[0] += 1
+            return real(x, lower)
+        monkeypatch.setattr(families, "_w_by_recursion", counted)
+        r = search_max_iplus(2, (30030, 210))
+        assert (r.max_iplus, r.witness.elements) == (1, (1, 2))
+        assert calls[0] == 2
 
     def test_bound_skips_most_weights(self, monkeypatch):
         calls = [0]

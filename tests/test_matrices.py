@@ -490,6 +490,8 @@ class TestCharpolyOracle:
     @given(symmetric_int_matrices())
     def test_matches_charpoly_read_out(self, a):
         assert inertia_charpoly_oracle(ExactMatrix(a)).as_tuple() == charpoly_inertia(a)
+        assert matrices._eliminate_symmetric([row[:] for row in a]) \
+            == matrices._eliminate([row[:] for row in a])
         triple, det = congruence_oracle(ExactMatrix(a))
         assert triple.as_tuple() == charpoly_inertia(a)
         assert det == sympy.Matrix(a).det()
@@ -518,16 +520,29 @@ class TestCharpolyOracle:
         # analyze reads the determinant and the inertia from one elimination
         # of the lcm matrix as given, pivots from the first index up: the
         # order factorization() builds from the Psi values.
-        real, seen = matrices._eliminate, []
+        real, seen = matrices._eliminate_symmetric, []
 
         def spy(a):
             seen.append([row[:] for row in a])
             return real(a)
-        monkeypatch.setattr(matrices, "_eliminate", spy)
+        monkeypatch.setattr(matrices, "_eliminate_symmetric", spy)
         p = cube_instances()[0]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["analyze", *map(str, p.elements)]) == 0
         assert seen == [[list(row) for row in lcm_matrix(p).entries]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(symmetric_int_matrices(), sparse_int_matrices()))
+    def test_symmetric_elimination_reads_no_entry_below_the_diagonal(self, a):
+        # Every entry below the diagonal is None: arithmetic on one raises
+        # TypeError, and a truth test reads it as 0, which the comparison
+        # with _eliminate catches.
+        if not ExactMatrix(a).is_symmetric:
+            return
+        upper = [[v if c >= r else None for c, v in enumerate(row)]
+                 for r, row in enumerate(a)]
+        assert matrices._eliminate_symmetric(upper) \
+            == matrices._eliminate([row[:] for row in a])
 
     def test_oracles_call_nothing_on_the_psi_route(self, corpus, monkeypatch):
         small = [p for _, p in corpus if p.n <= 64]
@@ -549,7 +564,8 @@ class TestCharpolyOracle:
 
 class TestLazyRowScaling:
     """_eliminate leaves a row with lead 0 as it is and brings it to the
-    current scale only when it is next updated, pivots or is added."""
+    current scale only when it is next updated, pivots or is added;
+    _eliminate_symmetric does the same from the upper triangle."""
 
     @pytest.mark.parametrize("a, want", [
         # [2] + [[3, 1], [1, 5]] + [[0, 1], [1, 0]]: every row skips the first
@@ -567,6 +583,7 @@ class TestLazyRowScaling:
     def test_stale_rows_pivot_update_and_meet_in_the_row_add(self, a, want):
         m = ExactMatrix(a)
         assert matrices._eliminate([row[:] for row in a]) == want
+        assert matrices._eliminate_symmetric([row[:] for row in a]) == want
         assert determinant_exact(m) == permutation_determinant(m) == want[3]
         triple, det = congruence_oracle(m)
         assert triple.as_tuple() == charpoly_inertia(a) == want[:3]
@@ -581,6 +598,8 @@ class TestLazyRowScaling:
             triple, det = congruence_oracle(m)
             assert triple.as_tuple() == charpoly_inertia(a)
             assert det == sympy.Matrix(a).det()
+            assert matrices._eliminate_symmetric([row[:] for row in a]) \
+                == matrices._eliminate([row[:] for row in a])
 
 
 class TestSignClassification:
@@ -635,7 +654,7 @@ PLAIN = [1, 2, 3, 4, 6, 9, 36]  # top 36: chain A [1, 2], chain B [3]
      lambda real: lambda p, i: dataclasses.replace(real(p, i), top_a=None, top_b=None),
      lambda: mobius_closed_form(build_poset(PLAIN), 6),
      "no chain tops"),
-    (matrices, "_eliminate",
+    (matrices, "_eliminate_symmetric",
      lambda real: lambda a: (0, 0, 0, 1),  # 0 + 0 + 0 != 2
      lambda: inertia_charpoly_oracle(ExactMatrix.identity(2)),
      "congruence counts failed to add up"),
