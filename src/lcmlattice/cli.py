@@ -29,8 +29,8 @@ from functools import partial
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
-from .families import DEFAULT_SEARCH_UNIVERSES, BadParamsError, classical_set, \
-    cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
+from .families import _MAX_UNIVERSE_DIVISORS, DEFAULT_SEARCH_UNIVERSES, BadParamsError, \
+    classical_set, cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
 from .matrices import NotGcdClosedError, VerificationError, congruence_oracle, \
@@ -278,7 +278,17 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     if ns.universe:
         universes: tuple[int, ...] = tuple(ns.universe)
     elif ns.max_prime is not None:
-        universes = (math.prod(v for v in range(2, ns.max_prime + 1) if is_prime(v)),)
+        # The product of k primes has 2^k divisors, so the count of primes
+        # decides before anything is multiplied; it stops at the primes up
+        # to 1000, past which the count given is a floor.
+        p = ns.max_prime
+        primes = [v for v in range(2, min(p, 1000) + 1) if is_prime(v)]
+        if 1 << len(primes) > _MAX_UNIVERSE_DIVISORS:
+            floor = "at least " if p > 1000 else ""
+            raise BadParamsError(
+                f"the product of the primes up to {p} has {floor}{1 << len(primes)} "
+                f"divisors, more than the {_MAX_UNIVERSE_DIVISORS} allowed")
+        universes = (math.prod(primes),)
     else:
         universes = DEFAULT_SEARCH_UNIVERSES
     res = search_max_iplus(ns.n, universes)

@@ -239,10 +239,15 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     universe (such as a full divisor list), in lexicographic order, each with
     its count of positive Psi values.
 
-    A depth-first search extends the path only by larger elements whose meets
-    with the path lie on it (the universe is gcd closed, so the meet of two
-    indices is the highest one in both down-sets), and only while enough
-    larger elements remain.
+    A depth-first search extends the path P only by its candidates, the
+    larger indices b with P + {b} gcd closed, and only while enough larger
+    elements remain.  Each node carries its candidates as a bitmask: every
+    index at the root, and when a is appended, the candidates b > a whose meet
+    with a lies on the new path (the universe is gcd closed, so the meet of
+    two indices is the highest one in both down-sets).  That suffices: if
+    P + {b} is closed and the meet of a and b is in P + {a}, then
+    P + {a, b} is closed.  So each candidate is meet-tested once per level,
+    not against every element of the path.
     Each element appended gets w = x * Psi(x) from the recursion over its
     strict divisors on the path and from the crosscut over the elements it
     covers on the path (VerificationError if they differ), and the positive
@@ -260,13 +265,24 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     gcd of all the elements, so the only strict divisor of x_1 in the set is
     x_0: x_1 covers x_0 alone, and w_1 = 1 - x_1 / x_0 < 0.  So the place
     of x_1, which is still to fill, adds nothing to the count.
+
+    At a node whose count plus the places left, less one, is no more than
+    the best, only a positive next element can lead to a set that beats it.
+    A candidate whose strict divisors on the path all divide the highest of
+    them, x_h, covers x_h alone, so its w = 1 - x / x_h < 0 by the crosscut;
+    the elements appended later are larger, so its divisors in the set are
+    final.  Every set below it counts at most the count plus the places
+    left, less one, so the walk skips it before computing either weight.
+    (A first element has no divisor on the path and w = 1.)  With
+    ``beat=None`` the best stays -1 and nothing is skipped.
     """
     k, els, down = u.n, u.elements, u._down
+    every = (1 << k) - 1
     w = [0] * k              # w of each universe index on the current path
     chosen: list[int] = []
     best = -1 if beat is None else beat    # every count beats -1
 
-    def rec(mask: int, plus: int, start: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def rec(mask: int, cands: int, plus: int) -> Iterator[tuple[tuple[int, ...], int]]:
         nonlocal best
         left = size - len(chosen)
         if not left:
@@ -276,23 +292,28 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
                 yield tuple(chosen), plus
             return
         reach = plus + left - (len(chosen) < 2 <= size)
-        for a in range(start, k - left + 1):
+        for a in _bits(cands & every >> left - 1):    # room for left - 1 more
             if reach <= best:
                 return
             da = down[a]
-            if not all(mask >> (da & down[t]).bit_length() - 1 & 1 for t in chosen):
+            strict = da & mask
+            if plus + left - 1 <= best and strict \
+                    and not strict & ~down[strict.bit_length() - 1]:
                 continue
-            x, strict = els[a], da & mask
-            lower = list(_bits(strict))
+            x, lower = els[a], list(_bits(strict))
             w[a] = _w_by_recursion(x, [(els[b], w[b]) for b in lower])
             covers = [els[b] for b in lower if not u._up[b] & strict]
             _verify(w[a] == _w_by_crosscut(x, covers),
                     f"the two Psi routes disagreed at {x}")
+            grown, kids = mask | 1 << a, 0
+            if left > 1:        # the child's candidates
+                for b in _bits(cands >> a + 1 << a + 1):
+                    kids |= (grown >> (da & down[b]).bit_length() - 1 & 1) << b
             chosen.append(a)
-            yield from rec(mask | 1 << a, plus + (w[a] > 0), a + 1)
+            yield from rec(grown, kids, plus + (w[a] > 0))
             chosen.pop()
 
-    return rec(0, 0, 0)
+    return rec(0, every, 0)
 
 
 #: The most divisors a universe may have: its poset takes a gcd for every pair.

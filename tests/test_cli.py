@@ -428,8 +428,8 @@ class TestSearch:
         assert json.loads(out)["witness"] == ["1", "1009"]
 
     def test_huge_universe_is_counted_not_refused_as_undecidable(self, capsys):
-        # The primes up to 1000 multiply to about 10^416; rho splits every
-        # part past the primality bound, so the divisor count is what fails.
+        # The primes up to 1000 multiply to about 10^416; their count gives
+        # the divisor count, so the product is never factored.
         code, out, err = run_cli(["search", "--n", "2", "--max-prime", "1000"], capsys)
         assert (code, out) == (1, "")
         assert "divisors, more than the 4096 allowed" in err
@@ -442,6 +442,23 @@ class TestSearch:
                                   "53"], capsys)
         assert (code, out) == (1, "")
         assert "has 65536 divisors, more than the 4096 allowed" in err
+
+    def test_max_prime_past_the_limit_exits_one_at_once(self):
+        # The primes up to P multiply to a number with 2^(number of primes)
+        # divisors, so P is refused before anything is multiplied or
+        # factored.  Only the 168 primes up to 1000 are counted past that.
+        src = Path(lcmlattice.__file__).parents[1]
+        for p, count in (("53", "65536"), ("10000", f"at least {2 ** 168}"),
+                         ("1000000000", f"at least {2 ** 168}")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lcmlattice.cli", "search", "--n", "2",
+                 "--max-prime", p],
+                capture_output=True, text=True, timeout=10,
+                env={**os.environ, "PYTHONPATH": str(src)})
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr.startswith(
+                f"error: the product of the primes up to {p} has {count}")
+            assert proc.stderr.endswith("divisors, more than the 4096 allowed\n")
 
     def test_universe_and_max_prime_exclude_each_other(self, capsys):
         code, out, err = run_cli(["search", "--n", "3", "--universe", "6",

@@ -7,10 +7,13 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmlattice import (
     DEFAULT_SEARCH_UNIVERSES,
     BadParamsError,
+    DivisorPoset,
     VerificationError,
     build_poset,
     classical_set,
@@ -18,6 +21,7 @@ from lcmlattice import (
     divisors,
     enumerate_gcd_closed,
     families,
+    gcd_closure,
     grid_family,
     incomparable_tops_instance,
     inertia_from_psi,
@@ -413,6 +417,51 @@ class TestSearch:
         # With no bound the walk yields every gcd-closed set of the size.
         assert sum(1 for _ in families._closed_index_subsets(p, 6)) == 16_081
         assert 0 < 4 * bounded <= calls[0]
+        # 3,218 with the reach bound alone; the single-cover skip leaves 1,032.
+        assert bounded == 1_032
+
+    def test_single_cover_candidate_gets_no_weight_where_a_positive_is_needed(
+            self, monkeypatch):
+        # On the path 1 2 3 with one place left and best 1, only a positive
+        # weight can beat the best.  4 covers 2 alone there (and 2 alone
+        # after 1 2, and 1 alone after 1 3, where two places are left and the
+        # best is 2), so its weight is never computed; 6 covers 2 and 3, so
+        # its weight is, and it is positive.
+        seen = []
+        real = families._w_by_recursion
+
+        def spy(x, lower):
+            seen.append(x)
+            return real(x, lower)
+        monkeypatch.setattr(families, "_w_by_recursion", spy)
+        u = build_poset([1, 2, 3, 4, 6])
+        assert list(families._closed_index_subsets(u, 4, beat=1)) == [((0, 1, 2, 4), 2)]
+        assert seen == [1, 2, 3, 6, 3, 2]
+        seen.clear()
+        # Unbounded, every candidate gets its weight.
+        assert len(list(families._closed_index_subsets(u, 4))) == 3
+        assert 4 in seen
+
+    @given(st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_matches_brute_force_over_combinations(self, xs):
+        # An ascending prefix of a gcd-closed set is gcd closed, so cutting
+        # the closure keeps a gcd-closed universe of at most 10 elements.
+        u = build_poset(gcd_closure(xs)[:10])
+        els = u.elements
+        for size in range(1, u.n + 1):
+            brute = []
+            for idxs in combinations(range(u.n), size):
+                sub = DivisorPoset(els[i] for i in idxs)
+                if sub.gcd_closed:
+                    brute.append((idxs, inertia_from_psi(sub).plus))
+            assert list(families._closed_index_subsets(u, size)) == brute
+            records, best = [], -1
+            for leaf in brute:
+                if leaf[1] > best:
+                    records.append(leaf)
+                    best = leaf[1]
+            assert list(families._closed_index_subsets(u, size, beat=-1)) == records
 
     def test_leaf_counts_match_psi_inside_any_closed_universe(self, corpus):
         # Any gcd-closed list can stand in for a divisor list.  The second
