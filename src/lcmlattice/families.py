@@ -256,33 +256,43 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     With an int ``beat``, only the sets whose count exceeds the best so far
     are yielded: the best starts at ``beat`` and rises with each yield.  Each
     element appended adds at most 1 to the count, so the walk leaves a node,
-    before computing another weight, once its reach, its count plus the
-    places left to fill, is no more than the best.  With ``beat=None`` every
-    set is yielded.
+    before computing another weight, once its reach is no more than the best.
+    With ``beat=None`` the best stays -1, and only nodes with no completion
+    are left.
 
-    While the path holds fewer than two elements of a set of size >= 2, the
-    reach is one less.  In a gcd-closed set in ascending order, x_0 is the
-    gcd of all the elements, so the only strict divisor of x_1 in the set is
-    x_0: x_1 covers x_0 alone, and w_1 = 1 - x_1 / x_0 < 0.  So the place
-    of x_1, which is still to fill, adds nothing to the count.
+    The reach is the count plus the places left, less the single-cover
+    places still to fill.  A member of a gcd-closed set S that covers one
+    member y alone has w = 1 - x / y < 0 by the crosscut, and S has at least
+    L = ceil(log2 |S|) such members.  Let J(x) be the single-cover members
+    that divide x; J(a) <= J(b) implies a | b, by induction on a.  It holds
+    for the least member, which divides every member, and for a single-cover
+    a, which lies in J(a).  If a covers c1 != c2, then J(ci) <= J(a), so c1
+    and c2 divide b by induction, and so gcd(a, b), which is in S; were it
+    below a, it would lie below one cover of a, so c1 = c2.  So x -> J(x) is
+    one-to-one and |S| <= 2^|J|.  A single-cover member on the path stays
+    one, as later elements are larger, so the walk carries their number.
 
-    At a node whose count plus the places left, less one, is no more than
-    the best, only a positive next element can lead to a set that beats it.
     A candidate whose strict divisors on the path all divide the highest of
-    them, x_h, covers x_h alone, so its w = 1 - x / x_h < 0 by the crosscut;
-    the elements appended later are larger, so its divisors in the set are
-    final.  Every set below it counts at most the count plus the places
-    left, less one, so the walk skips it before computing either weight.
-    (A first element has no divisor on the path and w = 1.)  With
-    ``beat=None`` the best stays -1 and nothing is skipped.
+    them, x_h, covers x_h alone and fills one of those places (a first
+    element has none and w = 1).  So its child has the node's reach while
+    such places are unfilled, and after that the count plus the places left,
+    less one.  Where that is no more than the best, the candidate is skipped
+    before either weight is computed.
+
+    Every element b of a completion of P + {a} is a candidate of its child:
+    the gcd of b and a path element is in the set and no larger than that
+    element, so it is on the path.  So a candidate is skipped when its child
+    has fewer candidates than places left, and the loop ends once fewer
+    candidates than places left remain.
     """
     k, els, down = u.n, u.elements, u._down
-    every = (1 << k) - 1
     w = [0] * k              # w of each universe index on the current path
     chosen: list[int] = []
     best = -1 if beat is None else beat    # every count beats -1
+    floor = (size - 1).bit_length()        # single-cover members of any set
 
-    def rec(mask: int, cands: int, plus: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def rec(mask: int, cands: int, plus: int, ones: int
+            ) -> Iterator[tuple[tuple[int, ...], int]]:
         nonlocal best
         left = size - len(chosen)
         if not left:
@@ -291,29 +301,31 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
                     best = plus
                 yield tuple(chosen), plus
             return
-        reach = plus + left - (len(chosen) < 2 <= size)
-        for a in _bits(cands & every >> left - 1):    # room for left - 1 more
-            if reach <= best:
+        reach = plus + left - max(0, floor - ones)
+        for a in _bits(cands):
+            if reach <= best or (cands >> a).bit_count() < left:
                 return
             da = down[a]
             strict = da & mask
-            if plus + left - 1 <= best and strict \
-                    and not strict & ~down[strict.bit_length() - 1]:
+            one = strict > 0 and not strict & ~down[strict.bit_length() - 1]
+            if one and plus + left - 1 <= best:
                 continue
+            grown, kids = mask | 1 << a, 0
+            if left > 1:        # the child's candidates
+                for b in _bits(cands >> a + 1 << a + 1):
+                    kids |= (grown >> (da & down[b]).bit_length() - 1 & 1) << b
+                if kids.bit_count() < left - 1:
+                    continue
             x, lower = els[a], list(_bits(strict))
             w[a] = _w_by_recursion(x, [(els[b], w[b]) for b in lower])
             covers = [els[b] for b in lower if not u._up[b] & strict]
             _verify(w[a] == _w_by_crosscut(x, covers),
                     f"the two Psi routes disagreed at {x}")
-            grown, kids = mask | 1 << a, 0
-            if left > 1:        # the child's candidates
-                for b in _bits(cands >> a + 1 << a + 1):
-                    kids |= (grown >> (da & down[b]).bit_length() - 1 & 1) << b
             chosen.append(a)
-            yield from rec(grown, kids, plus + (w[a] > 0))
+            yield from rec(grown, kids, plus + (w[a] > 0), ones + one)
             chosen.pop()
 
-    return rec(0, every, 0)
+    return rec(0, (1 << k) - 1, 0, 0)
 
 
 #: The most divisors a universe may have: its poset takes a gcd for every pair.

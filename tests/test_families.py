@@ -27,6 +27,7 @@ from lcmlattice import (
     inertia_from_psi,
     is_cube_isomorphic,
     is_gcd_closed,
+    psi,
     search_max_iplus,
     squarefree_pairs_family,
     structural_inertia,
@@ -293,10 +294,31 @@ class TestSearch:
             assert r.witness.n == n
 
     def test_maximum_bounded_by_negative_count_floor(self):
-        # Every closed set of size n ≥ 3 carries at least two negative
-        # weights, so the best positive count can never exceed n − 2.
-        for n in range(3, 7):
-            assert search_max_iplus(n).max_iplus <= n - 2
+        # Every closed set of size n has at least ⌈log₂ n⌉ members that cover
+        # one member alone, each with a negative weight, so the best positive
+        # count can never exceed n − ⌈log₂ n⌉.
+        for n in range(2, 12):
+            assert search_max_iplus(n).max_iplus <= n - (n - 1).bit_length()
+
+    @pytest.mark.parametrize("n, universes", [
+        *((n, DEFAULT_SEARCH_UNIVERSES) for n in (1, 2, 3, 4, 5, 6, 7, 9, 10, 11)),
+        (8, (30030,)),
+    ])
+    def test_floor_is_attained(self, n, universes):
+        # A count that reaches the floor is the maximum over every closed set
+        # of size n, not only over the universes searched.
+        assert search_max_iplus(n, universes).max_iplus == n - (n - 1).bit_length()
+
+    @given(st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_single_cover_members_at_least_log2_of_size(self, xs):
+        # x -> {single-cover members dividing x} is one-to-one on a closed
+        # set, so n members need at least ⌈log₂ n⌉ of them, and each has a
+        # negative weight.
+        p = build_poset(gcd_closure(xs))
+        floor = (p.n - 1).bit_length()
+        assert sum(1 for i in range(p.n) if len(p.covered(i)) == 1) >= floor
+        assert psi(p).inertia().minus >= floor
 
     def test_custom_universe(self):
         r = search_max_iplus(3, universes=(30,))
@@ -362,6 +384,9 @@ class TestSearch:
         (6, (2310,)), (7, (216, 210)), (4, (30, 210)), (5, (210, 30)),
         (64, (30030,)), (2, (6,)), (2, (30030,)), (2, (216, 210)),
         (2, DEFAULT_SEARCH_UNIVERSES),
+        # The maximum reaches the floor, so each later node and universe stops
+        # at once.
+        (7, (2310,)), (9, DEFAULT_SEARCH_UNIVERSES), (6, (36, 2310)),
     ])
     def test_bound_matches_unbounded_walk(self, n, universes):
         # The reference walks every set with no bound and keeps the first
@@ -417,16 +442,23 @@ class TestSearch:
         # With no bound the walk yields every gcd-closed set of the size.
         assert sum(1 for _ in families._closed_index_subsets(p, 6)) == 16_081
         assert 0 < 4 * bounded <= calls[0]
-        # 3,218 with the reach bound alone; the single-cover skip leaves 1,032.
-        assert bounded == 1_032
+        # 3,218 with the reach bound alone, 1,032 with the single-cover skip.
+        # The first set found counts 3 = 6 - ⌈log₂ 6⌉, so with the floor the
+        # walk computes 7 weights in all.
+        assert bounded == 7
+        # At size 8 on the default universes the maximum, 4, stays below the
+        # floor's 5, so the candidate count does the pruning: 811 without it.
+        calls[0] = 0
+        assert search_max_iplus(8).max_iplus == 4
+        assert calls[0] == 484
 
     def test_single_cover_candidate_gets_no_weight_where_a_positive_is_needed(
             self, monkeypatch):
         # On the path 1 2 3 with one place left and best 1, only a positive
-        # weight can beat the best.  4 covers 2 alone there (and 2 alone
-        # after 1 2, and 1 alone after 1 3, where two places are left and the
-        # best is 2), so its weight is never computed; 6 covers 2 and 3, so
-        # its weight is, and it is positive.
+        # weight can beat the best.  4 covers 2 alone there, so its weight is
+        # never computed; 6 covers 2 and 3, so its weight is, and it is
+        # positive.  Its count, 2, is 4 less the floor of ⌈log₂ 4⌉ = 2
+        # single-cover members, so no node can beat it and the walk ends.
         seen = []
         real = families._w_by_recursion
 
@@ -436,11 +468,31 @@ class TestSearch:
         monkeypatch.setattr(families, "_w_by_recursion", spy)
         u = build_poset([1, 2, 3, 4, 6])
         assert list(families._closed_index_subsets(u, 4, beat=1)) == [((0, 1, 2, 4), 2)]
-        assert seen == [1, 2, 3, 6, 3, 2]
+        assert seen == [1, 2, 3, 6]
         seen.clear()
-        # Unbounded, every candidate gets its weight.
+        # Unbounded, 4 gets its weight on each path that a 4-set through it
+        # extends.
         assert len(list(families._closed_index_subsets(u, 4))) == 3
         assert 4 in seen
+
+    def test_candidate_with_too_few_child_candidates_gets_no_weight(
+            self, monkeypatch):
+        # After the path 1, a 3-set through 4 needs one more element above 4,
+        # and 6 is the only one, but gcd(4, 6) = 2 is off the path: 4 has no
+        # candidate to follow it, so its weight there is never computed, even
+        # with no bound.  After 1 2 it has the candidate 6.
+        seen = []
+        real = families._w_by_recursion
+
+        def spy(x, lower):
+            seen.append((x, tuple(y for y, _ in lower)))
+            return real(x, lower)
+        monkeypatch.setattr(families, "_w_by_recursion", spy)
+        u = build_poset([1, 2, 4, 6])
+        assert [idxs for idxs, _ in families._closed_index_subsets(u, 3)] == [
+            (0, 1, 2), (0, 1, 3), (1, 2, 3)]
+        assert (4, (1,)) not in seen
+        assert (4, (1, 2)) in seen
 
     @given(st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
