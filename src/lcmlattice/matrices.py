@@ -2,13 +2,12 @@
 
 Two independent routes exist for every headline quantity.  The formula route
 goes through the Psi vector (an inclusion-exclusion over the divisor poset);
-the oracle route is one fraction-free elimination of the integer-scaled
-matrix, pivots from the first index up, whose last pivot gives the
+the oracle route is one exact symmetric elimination of the integer-scaled
+matrix, pivots from the first index up, whose pivot product gives the
 determinant and whose pivot signs give the inertia by Sylvester's law of
-inertia.  On a gcd-closed set in ascending order, while no Psi is 0, pivot
-k / pivot k-1 is x_k^2 * Psi_k, the congruence factorization() builds; the
-oracle still shares no code with the Psi route, so their agreement is
-meaningful.
+inertia.  On a gcd-closed set in ascending order, pivot k is x_k * w_k =
+x_k^2 * Psi_k, the congruence factorization() builds; the oracle still
+shares no code with the Psi route, so their agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .doublechain import NotDoubleChainGeneratorError, generates_double_chain
 from .lattice import DivisorPoset, VerificationError, _bits, _verify
@@ -249,11 +249,9 @@ def _scaled_to_int(m: ExactMatrix) -> tuple[list[list[int]], int]:
     return [[int(v * scale) for v in row] for row in m.entries], scale
 
 
-def _eliminate(a: list[list[int]], prev: int = 1) -> tuple[int, int, int, int]:
+def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
     """Fraction-free elimination of a square integer matrix (destructive):
-    (plus, minus, zero, det).  With ``prev`` given, the matrix is a block
-    left after pivots whose last was ``prev``, at that scale; det is then the
-    last pivot of the whole elimination.
+    (plus, minus, zero, det).
 
     The pivot is the first nonzero diagonal entry left.  Updates divide
     exactly by the previous pivot, as in Bareiss, and every step has
@@ -267,7 +265,7 @@ def _eliminate(a: list[list[int]], prev: int = 1) -> tuple[int, int, int, int]:
     Schur complement row does not change, and Bareiss would only multiply
     the row by pivot / prev; it is left as it is.  So with p_s the last pivot
     and p_{t_i} = scale[i] the pivot of the last step that updated row i
-    (prev before any), the Bareiss row is R_i * p_s / p_{t_i} for the stored
+    (1 before any), the Bareiss row is R_i * p_s / p_{t_i} for the stored
     row R_i.  A row with a nonzero lead becomes (R_i * pivot - a_ik * row_k) /
     p_{t_i}: that is the Bareiss update of R_i * p_s / p_{t_i}, an integer,
     so the division is exact; then scale[i] = pivot.  The pivot row and both
@@ -283,8 +281,8 @@ def _eliminate(a: list[list[int]], prev: int = 1) -> tuple[int, int, int, int]:
     pivots give one plus and one minus, as [[0, b], [b, 0]] does.
     """
     rest = list(range(len(a)))
-    scale = [prev] * len(a)
-    plus = minus = 0
+    scale = [1] * len(a)
+    plus, minus, prev = 0, 0, 1
 
     def current(i: int) -> list[int]:
         row, s = a[i], scale[i]
@@ -323,63 +321,57 @@ def _eliminate(a: list[list[int]], prev: int = 1) -> tuple[int, int, int, int]:
 
 
 def _eliminate_symmetric(a: list[list[int]]) -> tuple[int, int, int, int]:
-    """_eliminate on a symmetric integer matrix, reading and writing only the
-    entries on or above the diagonal (destructive): (plus, minus, zero, det).
+    """Exact elimination of a symmetric integer matrix, reading only entries
+    on or above the diagonal: (plus, minus, zero, det).  Destructive: a[k]
+    becomes row k of the block left before step k, from its diagonal on.
 
-    Pivots, lazy row scaling and exact divisions are those of _eliminate, so
-    the result is the same.  Only the reads change.  With prev the last
-    pivot, the block left is symmetric: its entry (i, c) is a[i][c] * prev /
-    scale[i] for c >= i.  So the pivot row's entry left of the diagonal,
-    column c < k, is read from column k of row c, and the lead of row i at
-    pivot k is the pivot row's entry at column i, brought back to row i's
-    stored scale.  Each row is updated only from its diagonal rightwards.
-    If the diagonal left is all 0, both halves of the block left are filled
-    at scale prev, and _eliminate finishes it with its row add.
+    Pivot k is the diagonal entry, with no scale factor: the block left is
+    the Schur complement, so each pivot adds an eigenvalue of its sign
+    (Sylvester's law of inertia) and det is the product of the pivots.  Row
+    i with lead a_ki != 0 becomes a_ic - a_ki * a_kc // pivot for c >= i,
+    once pivot | a_ki * gcd(a_kc for c >= i) has proved every division of the
+    step exact (one suffix-gcd pass, skipped when the pivot divides its whole
+    row, as on an LCM matrix).  An all-zero row adds a zero eigenvalue
+    and is dropped.  Any other step, an inexact division or a zero pivot on a
+    nonzero row, hands the block left to _eliminate: the counts add, and det
+    is the product of the pivots times the block's.
+
+    An LCM matrix of a gcd-closed set in ascending order never hands off.  It
+    is D Lambda D^T, D = Delta E lower triangular (factorization()).  Let the
+    block left before step k be D_Q Lambda_Q D_Q^T over Q = {k, k+1, ...}.
+    The strict divisors of x_k precede it, so row k of D_Q is x_k e_k, and
+    row k of the block is w_k x_j where x_k | x_j, else 0 (w_k = x_k Psi_k):
+    pivot k is x_k w_k.  If Psi_k = 0 the row is all zero; else each division
+    a_ki a_kc / pivot = (x_i / x_k) x_c w_k is exact and removes the term of
+    k.  Either way the block left is D_Q' Lambda_Q' D_Q'^T, Q' = Q - {k}.
+    Only the proof reads Psi and divisibility.
     """
-    rest = list(range(len(a)))
-    scale = [1] * len(a)
-    plus = minus = 0
-    prev = 1
-    while rest:
-        pos = next((p for p, i in enumerate(rest) if a[i][i]), None)
-        if pos is None:
-            block = [[0] * len(rest) for _ in rest]
-            for p, i in enumerate(rest):
-                row, s = a[i], scale[i]
-                for q in range(p, len(rest)):
-                    block[p][q] = block[q][p] = row[rest[q]] * prev // s
-            more_plus, more_minus, zero, det = _eliminate(block, prev)
-            return plus + more_plus, minus + more_minus, zero, det
-        k = rest[pos]
-        row_k, s = a[k], scale[k]
-        for c in rest[:pos]:
-            row_k[c] = a[c][k] * prev // scale[c]
-        if s != prev:
-            for c in rest[pos:]:
-                row_k[c] = row_k[c] * prev // s
-        pivot = row_k[k]
-        if (pivot > 0) == (prev > 0):
-            plus += 1
+    a[:] = [row[i:] for i, row in enumerate(a)]
+    plus, minus, zero, det = 0, 0, 0, 1
+    for k, row_k in enumerate(a):
+        pivot = row_k[0]
+        if not any(row_k):
+            zero += 1
+        elif pivot and (not math.gcd(*row_k) % pivot or not any(  # gcd(row_k[c:]) at c
+                lead * g % pivot for lead, g in
+                zip(row_k, reversed(list(accumulate(reversed(row_k), math.gcd)))))):
+            for i, lead in enumerate(row_k[1:], k + 1):
+                if lead:
+                    a[i] = [x - lead * y // pivot for x, y in zip(a[i], row_k[i - k:])]
+            plus += pivot > 0
+            minus += pivot < 0
         else:
-            minus += 1
-        del rest[pos]
-        for p, i in enumerate(rest):
-            lead = row_k[i]
-            if lead:
-                row_i, s = a[i], scale[i]
-                if s != prev:
-                    lead = lead * s // prev
-                for c in rest[p:]:
-                    row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // s
-                scale[i] = pivot
-        prev = pivot
-    return plus, minus, 0, prev
+            r = range(len(row_k))
+            block = [[a[k + min(p, q)][abs(p - q)] for q in r] for p in r]
+            more_plus, more_minus, more_zero, more_det = _eliminate(block)
+            return plus + more_plus, minus + more_minus, zero + more_zero, det * more_det
+        det *= pivot
+    return plus, minus, zero, det
 
 
 def determinant_exact(m: ExactMatrix) -> Fraction:
     """Exact determinant of any square rational matrix, by the fraction-free
-    elimination whose upper-triangle form congruence_oracle runs on symmetric
-    ones."""
+    elimination that finishes congruence_oracle's hand-offs."""
     rows, scale = _scaled_to_int(m)
     return Fraction(_eliminate(rows)[3], scale ** m.rows)
 
@@ -412,16 +404,22 @@ def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
 
 
 def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
-    """Inertia and determinant of a symmetric rational matrix from one
-    fraction-free elimination of it scaled to integers, pivots from the first
-    index up, with no Psi values: the pivot signs give the inertia
-    (Sylvester's law of inertia), the last pivot the determinant."""
+    """Inertia and determinant of a symmetric rational matrix from one exact
+    elimination of it scaled to integers, pivots from the first index up,
+    with no Psi values: the pivot signs give the inertia (Sylvester's law of
+    inertia), their product the determinant."""
     a, scale = _scaled_to_int(m)
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
+    inertia, det = _upper_congruence(a)
+    return inertia, Fraction(det, scale ** m.rows)
+
+
+def _upper_congruence(a: list[list[int]]) -> tuple[InertiaTriple, int]:
+    """congruence_oracle on the upper triangle of a symmetric integer matrix."""
     plus, minus, zero, det = _eliminate_symmetric(a)
-    _verify(plus + minus + zero == m.rows, "congruence counts failed to add up")
-    return InertiaTriple(plus, minus, zero), Fraction(det, scale ** m.rows)
+    _verify(plus + minus + zero == len(a), "congruence counts failed to add up")
+    return InertiaTriple(plus, minus, zero), det
 
 
 def inertia_charpoly_oracle(m: ExactMatrix) -> InertiaTriple:

@@ -33,6 +33,7 @@ from lcmlattice import (
     decompose_chains,
     determinant_exact,
     determinant_via_psi,
+    divisors,
     factorization,
     gcd_closure,
     gcd_matrix,
@@ -518,18 +519,18 @@ class TestCharpolyOracle:
 
     def test_report_runs_one_elimination_in_the_given_order(self, monkeypatch):
         # analyze reads the determinant and the inertia from one elimination
-        # of the lcm matrix as given, pivots from the first index up: the
-        # order factorization() builds from the Psi values.
+        # of the upper triangle of the lcm matrix as given, pivots from the
+        # first index up: the order factorization() builds from the Psi values.
         real, seen = matrices._eliminate_symmetric, []
 
         def spy(a):
-            seen.append([row[:] for row in a])
+            seen.append([row[r:] for r, row in enumerate(a)])
             return real(a)
         monkeypatch.setattr(matrices, "_eliminate_symmetric", spy)
         p = cube_instances()[0]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["analyze", *map(str, p.elements)]) == 0
-        assert seen == [[list(row) for row in lcm_matrix(p).entries]]
+        assert seen == [[list(row[r:]) for r, row in enumerate(lcm_matrix(p).entries)]]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(symmetric_int_matrices(), sparse_int_matrices()))
@@ -565,7 +566,7 @@ class TestCharpolyOracle:
 class TestLazyRowScaling:
     """_eliminate leaves a row with lead 0 as it is and brings it to the
     current scale only when it is next updated, pivots or is added;
-    _eliminate_symmetric does the same from the upper triangle."""
+    _eliminate_symmetric hands such blocks to it at scale 1."""
 
     @pytest.mark.parametrize("a, want", [
         # [2] + [[3, 1], [1, 5]] + [[0, 1], [1, 0]]: every row skips the first
@@ -600,6 +601,81 @@ class TestLazyRowScaling:
             assert det == sympy.Matrix(a).det()
             assert matrices._eliminate_symmetric([row[:] for row in a]) \
                 == matrices._eliminate([row[:] for row in a])
+
+
+def _random_closure(divs: list[int]):
+    return st.lists(st.sampled_from(divs), min_size=1, max_size=12).map(
+        lambda xs: build_poset(gcd_closure(xs)))
+
+
+def _perturbed_lcm() -> list[list[int]]:
+    # Pivots 1, -2, -6, -4 are exact; the entry of 6 raised by 1 makes its
+    # pivot 13 instead of 12, and 13 does not divide 24 * 24.
+    els = [1, 2, 3, 4, 6, 12]
+    a = [[math.lcm(x, y) for y in els] for x in els]
+    a[4][4] += 1
+    return a
+
+
+class TestExactElimination:
+    """_eliminate_symmetric keeps each block left at its true scale.  On the
+    LCM matrix of a gcd-closed set in ascending order it never hands off and
+    pivot k is x_k * w_k; other matrices may be handed to _eliminate."""
+
+    @staticmethod
+    def assert_pivots_are_weights(p):
+        # The weights come from psi here, in the test only: the elimination
+        # reads none.
+        els = p.elements
+        psis = psi(p)
+        a = [[math.lcm(x, y) for y in els] for x in els]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrices, "_eliminate", lambda a: pytest.fail("handed off"))
+            result = matrices._eliminate_symmetric(a)
+        assert [row[0] for row in a] == [x * x * v for x, v in zip(els, psis)]
+        assert result == (*psis.inertia().as_tuple(), psis.determinant())
+
+    def test_corpus_and_cubes_never_hand_off(self, corpus):
+        for _, p in corpus + [("cube", c) for c in cube_instances()]:
+            self.assert_pivots_are_weights(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_random_closure(divisors(720)),
+                     _random_closure(divisors(2310)),
+                     _random_closure(divisors(30030))))
+    def test_random_closures_never_hand_off(self, p):
+        self.assert_pivots_are_weights(p)
+
+    def test_exact_steps_where_the_pivot_does_not_divide_its_row(self, monkeypatch):
+        # Neither pivot 4 divides a 2 in its row, but each divides every
+        # product 2 * 2 it meets: the suffix gcds prove both steps exact.
+        a = [[4, 2, 2], [2, 5, 3], [2, 3, 7]]
+        monkeypatch.setattr(matrices, "_eliminate", lambda a: pytest.fail("handed off"))
+        b = [row[:] for row in a]
+        assert matrices._eliminate_symmetric(b) == (3, 0, 0, 80)
+        assert [row[0] for row in b] == [4, 4, 5]
+        assert charpoly_inertia(a) == (3, 0, 0) and sympy.Matrix(a).det() == 80
+
+    @pytest.mark.parametrize("a", [
+        # An inexact first step: 2 does not divide 1 * 1.
+        [[2, 1], [1, 2]],
+        # Four exact steps, then an inexact one on the last two rows.
+        _perturbed_lcm(),
+        # One exact step leaves [[0, 1], [1, 0]]: a zero pivot on a nonzero row.
+        [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
+    ], ids=["inexact-first", "perturbed-lcm", "zero-pivot-nonzero-row"])
+    def test_hand_off_leaves_two_rows(self, monkeypatch, a):
+        real, sizes = matrices._eliminate, []
+
+        def spy(block):
+            sizes.append(len(block))
+            return real(block)
+        monkeypatch.setattr(matrices, "_eliminate", spy)
+        got = matrices._eliminate_symmetric([row[:] for row in a])
+        assert sizes == [2]
+        assert got == real([row[:] for row in a])
+        assert got[:3] == charpoly_inertia(a)
+        assert got[3] == sympy.Matrix(a).det()
 
 
 class TestSignClassification:
