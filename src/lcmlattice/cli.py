@@ -33,7 +33,7 @@ from .families import _MAX_UNIVERSE_DIVISORS, DEFAULT_SEARCH_UNIVERSES, BadParam
     classical_set, cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
-from .matrices import NotGcdClosedError, VerificationError, _upper_congruence, psi, \
+from .matrices import NotGcdClosedError, VerificationError, lcm_congruence_oracle, psi, \
     structural_inertia
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
 
@@ -111,9 +111,7 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         inertia, method = signs, "psi"
     _verify(inertia == signs, "structural inertia disagreed with sign counts")
     if verify or p.n <= cap:
-        els = p.elements
-        oracle_inertia, oracle_det = _upper_congruence(
-            [[0] * i + [math.lcm(x, y) for y in els[i:]] for i, x in enumerate(els)])
+        oracle_inertia, oracle_det = lcm_congruence_oracle(p)
         _verify(oracle_inertia == inertia, "inertia oracle disagreed with sign counts")
         _verify(oracle_det == det, "determinant oracle disagreed with the product formula")
         method = "oracle-verified"

@@ -17,7 +17,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .doublechain import NotDoubleChainGeneratorError, generates_double_chain
 from .lattice import DivisorPoset, VerificationError, _bits, _verify
@@ -321,40 +320,36 @@ def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
 
 
 def _eliminate_symmetric(a: list[list[int]]) -> tuple[int, int, int, int]:
-    """Exact elimination of a symmetric integer matrix, reading only entries
-    on or above the diagonal: (plus, minus, zero, det).  Destructive: a[k]
-    becomes row k of the block left before step k, from its diagonal on.
+    """Exact elimination of a symmetric integer matrix given by its upper
+    rows, a[k] = row k from its diagonal on: (plus, minus, zero, det).
+    Destructive: a[k] becomes row k of the block left before step k.
 
     Pivot k is the diagonal entry, with no scale factor: the block left is
     the Schur complement, so each pivot adds an eigenvalue of its sign
-    (Sylvester's law of inertia) and det is the product of the pivots.  Row
-    i with lead a_ki != 0 becomes a_ic - a_ki * a_kc // pivot for c >= i,
-    once pivot | a_ki * gcd(a_kc for c >= i) has proved every division of the
-    step exact (one suffix-gcd pass, skipped when the pivot divides its whole
-    row, as on an LCM matrix).  An all-zero row adds a zero eigenvalue
-    and is dropped.  Any other step, an inexact division or a zero pivot on a
-    nonzero row, hands the block left to _eliminate: the counts add, and det
-    is the product of the pivots times the block's.
+    (Sylvester's law of inertia) and det is the product of the pivots.  Once
+    the pivot divides every entry of its row, so that every division of the
+    step is exact, row i with lead a_ki != 0 becomes a_ic - a_ki * a_kc //
+    pivot for c >= i.  An all-zero row adds a zero eigenvalue and is
+    dropped.  Any other step, a pivot that does not divide its row or a zero
+    pivot on a nonzero row, hands the block left to _eliminate: the counts
+    add, and det is the product of the pivots times the block's.
 
     An LCM matrix of a gcd-closed set in ascending order never hands off.  It
     is D Lambda D^T, D = Delta E lower triangular (factorization()).  Let the
     block left before step k be D_Q Lambda_Q D_Q^T over Q = {k, k+1, ...}.
     The strict divisors of x_k precede it, so row k of D_Q is x_k e_k, and
     row k of the block is w_k x_j where x_k | x_j, else 0 (w_k = x_k Psi_k):
-    pivot k is x_k w_k.  If Psi_k = 0 the row is all zero; else each division
-    a_ki a_kc / pivot = (x_i / x_k) x_c w_k is exact and removes the term of
-    k.  Either way the block left is D_Q' Lambda_Q' D_Q'^T, Q' = Q - {k}.
-    Only the proof reads Psi and divisibility.
+    pivot k is x_k w_k.  If Psi_k = 0 the row is all zero; else the pivot
+    divides the row, and a_ki a_kc / pivot = (x_i / x_k) x_c w_k removes the
+    term of k.  Either way the block left is D_Q' Lambda_Q' D_Q'^T, Q' = Q -
+    {k}.  Only the proof reads Psi and divisibility.
     """
-    a[:] = [row[i:] for i, row in enumerate(a)]
     plus, minus, zero, det = 0, 0, 0, 1
     for k, row_k in enumerate(a):
         pivot = row_k[0]
         if not any(row_k):
             zero += 1
-        elif pivot and (not math.gcd(*row_k) % pivot or not any(  # gcd(row_k[c:]) at c
-                lead * g % pivot for lead, g in
-                zip(row_k, reversed(list(accumulate(reversed(row_k), math.gcd)))))):
+        elif pivot and not math.gcd(*row_k) % pivot:
             for i, lead in enumerate(row_k[1:], k + 1):
                 if lead:
                     a[i] = [x - lead * y // pivot for x, y in zip(a[i], row_k[i - k:])]
@@ -411,12 +406,19 @@ def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
     a, scale = _scaled_to_int(m)
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    inertia, det = _upper_congruence(a)
+    inertia, det = _upper_congruence([row[i:] for i, row in enumerate(a)])
     return inertia, Fraction(det, scale ** m.rows)
 
 
+def lcm_congruence_oracle(p: DivisorPoset) -> tuple[InertiaTriple, int]:
+    """congruence_oracle(lcm_matrix(p)), built as the n(n+1)/2 lcms of the
+    upper triangle in plain ints: the inertia and the integer determinant."""
+    els = p.elements
+    return _upper_congruence([[math.lcm(x, y) for y in els[i:]] for i, x in enumerate(els)])
+
+
 def _upper_congruence(a: list[list[int]]) -> tuple[InertiaTriple, int]:
-    """congruence_oracle on the upper triangle of a symmetric integer matrix."""
+    """The oracle on the upper rows of a symmetric integer matrix."""
     plus, minus, zero, det = _eliminate_symmetric(a)
     _verify(plus + minus + zero == len(a), "congruence counts failed to add up")
     return InertiaTriple(plus, minus, zero), det

@@ -132,8 +132,8 @@ class TestAnalyze:
         ("inertia_charpoly_oracle", lambda triple, det: (InertiaTriple(0, 0, 0), det)),
     ])
     def test_oracle_disagreement_exits_three(self, capsys, monkeypatch, oracle, wrong):
-        real = cli._upper_congruence
-        monkeypatch.setattr(cli, "_upper_congruence", lambda a: wrong(*real(a)))
+        real = cli.lcm_congruence_oracle
+        monkeypatch.setattr(cli, "lcm_congruence_oracle", lambda p: wrong(*real(p)))
         code, out, err = run_cli(["analyze", *CUBE], capsys)
         assert code == 3 and out == ""
         check = oracle.split("_")[0]
@@ -512,7 +512,7 @@ def test_verification_survives_optimized_mode():
     src = Path(lcmlattice.__file__).parents[1]
     script = ("import sys\n"
               "from lcmlattice import InertiaTriple, cli\n"
-              "cli._upper_congruence = lambda a: (InertiaTriple(1, 2, 0), 0)\n"
+              "cli.lcm_congruence_oracle = lambda p: (InertiaTriple(1, 2, 0), 0)\n"
               "sys.exit(cli.main(['analyze', '1', '2', '6']))\n")
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],

@@ -97,6 +97,11 @@ def sign_variations(seq) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def upper_rows(a: list[list[int]]) -> list[list[int]]:
+    """Row k of a from its diagonal on: the input of the symmetric elimination."""
+    return [row[k:] for k, row in enumerate(a)]
+
+
 def charpoly_inertia(a: list[list[int]]) -> tuple[int, int, int]:
     """Inertia of a symmetric integer matrix by Descartes' rule of signs on its
     characteristic polynomial (exact, since every root is real)."""
@@ -491,7 +496,7 @@ class TestCharpolyOracle:
     @given(symmetric_int_matrices())
     def test_matches_charpoly_read_out(self, a):
         assert inertia_charpoly_oracle(ExactMatrix(a)).as_tuple() == charpoly_inertia(a)
-        assert matrices._eliminate_symmetric([row[:] for row in a]) \
+        assert matrices._eliminate_symmetric(upper_rows(a)) \
             == matrices._eliminate([row[:] for row in a])
         triple, det = congruence_oracle(ExactMatrix(a))
         assert triple.as_tuple() == charpoly_inertia(a)
@@ -524,24 +529,25 @@ class TestCharpolyOracle:
         real, seen = matrices._eliminate_symmetric, []
 
         def spy(a):
-            seen.append([row[r:] for r, row in enumerate(a)])
+            seen.append([row[:] for row in a])
             return real(a)
         monkeypatch.setattr(matrices, "_eliminate_symmetric", spy)
         p = cube_instances()[0]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["analyze", *map(str, p.elements)]) == 0
-        assert seen == [[list(row[r:]) for r, row in enumerate(lcm_matrix(p).entries)]]
+        assert seen == [upper_rows([list(row) for row in lcm_matrix(p).entries])]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(symmetric_int_matrices(), sparse_int_matrices()))
     def test_symmetric_elimination_reads_no_entry_below_the_diagonal(self, a):
-        # Every entry below the diagonal is None: arithmetic on one raises
-        # TypeError, and a truth test reads it as 0, which the comparison
-        # with _eliminate catches.
+        # The elimination is given each row from its diagonal on, so it has
+        # no entry below the diagonal to read: they are None here, and the
+        # rows it gets hold none of them.
         if not ExactMatrix(a).is_symmetric:
             return
-        upper = [[v if c >= r else None for c, v in enumerate(row)]
-                 for r, row in enumerate(a)]
+        upper = upper_rows([[v if c >= r else None for c, v in enumerate(row)]
+                            for r, row in enumerate(a)])
+        assert not any(v is None for row in upper for v in row)
         assert matrices._eliminate_symmetric(upper) \
             == matrices._eliminate([row[:] for row in a])
 
@@ -584,7 +590,7 @@ class TestLazyRowScaling:
     def test_stale_rows_pivot_update_and_meet_in_the_row_add(self, a, want):
         m = ExactMatrix(a)
         assert matrices._eliminate([row[:] for row in a]) == want
-        assert matrices._eliminate_symmetric([row[:] for row in a]) == want
+        assert matrices._eliminate_symmetric(upper_rows(a)) == want
         assert determinant_exact(m) == permutation_determinant(m) == want[3]
         triple, det = congruence_oracle(m)
         assert triple.as_tuple() == charpoly_inertia(a) == want[:3]
@@ -599,7 +605,7 @@ class TestLazyRowScaling:
             triple, det = congruence_oracle(m)
             assert triple.as_tuple() == charpoly_inertia(a)
             assert det == sympy.Matrix(a).det()
-            assert matrices._eliminate_symmetric([row[:] for row in a]) \
+            assert matrices._eliminate_symmetric(upper_rows(a)) \
                 == matrices._eliminate([row[:] for row in a])
 
 
@@ -610,7 +616,7 @@ def _random_closure(divs: list[int]):
 
 def _perturbed_lcm() -> list[list[int]]:
     # Pivots 1, -2, -6, -4 are exact; the entry of 6 raised by 1 makes its
-    # pivot 13 instead of 12, and 13 does not divide 24 * 24.
+    # pivot 13 instead of 12, and 13 does not divide the 24 in its row.
     els = [1, 2, 3, 4, 6, 12]
     a = [[math.lcm(x, y) for y in els] for x in els]
     a[4][4] += 1
@@ -628,7 +634,7 @@ class TestExactElimination:
         # reads none.
         els = p.elements
         psis = psi(p)
-        a = [[math.lcm(x, y) for y in els] for x in els]
+        a = [[math.lcm(x, y) for y in els[i:]] for i, x in enumerate(els)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matrices, "_eliminate", lambda a: pytest.fail("handed off"))
             result = matrices._eliminate_symmetric(a)
@@ -646,33 +652,27 @@ class TestExactElimination:
     def test_random_closures_never_hand_off(self, p):
         self.assert_pivots_are_weights(p)
 
-    def test_exact_steps_where_the_pivot_does_not_divide_its_row(self, monkeypatch):
-        # Neither pivot 4 divides a 2 in its row, but each divides every
-        # product 2 * 2 it meets: the suffix gcds prove both steps exact.
-        a = [[4, 2, 2], [2, 5, 3], [2, 3, 7]]
-        monkeypatch.setattr(matrices, "_eliminate", lambda a: pytest.fail("handed off"))
-        b = [row[:] for row in a]
-        assert matrices._eliminate_symmetric(b) == (3, 0, 0, 80)
-        assert [row[0] for row in b] == [4, 4, 5]
-        assert charpoly_inertia(a) == (3, 0, 0) and sympy.Matrix(a).det() == 80
-
-    @pytest.mark.parametrize("a", [
-        # An inexact first step: 2 does not divide 1 * 1.
-        [[2, 1], [1, 2]],
-        # Four exact steps, then an inexact one on the last two rows.
-        _perturbed_lcm(),
+    @pytest.mark.parametrize("a, size", [
+        # An inexact first step: 2 does not divide 1 * 1 or the 1 in its row.
+        ([[2, 1], [1, 2]], 2),
+        # Four exact steps, then pivot 13 on the last two rows.
+        (_perturbed_lcm(), 2),
         # One exact step leaves [[0, 1], [1, 0]]: a zero pivot on a nonzero row.
-        [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
-    ], ids=["inexact-first", "perturbed-lcm", "zero-pivot-nonzero-row"])
-    def test_hand_off_leaves_two_rows(self, monkeypatch, a):
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], 2),
+        # Pivot 4 divides each product 2 * 2 it meets but not the 2s of its
+        # row: the whole matrix is handed off, and the result is unchanged.
+        ([[4, 2, 2], [2, 5, 3], [2, 3, 7]], 3),
+    ], ids=["inexact-first", "perturbed-lcm", "zero-pivot-nonzero-row",
+            "pivot-not-dividing-its-row"])
+    def test_hand_off_block_left(self, monkeypatch, a, size):
         real, sizes = matrices._eliminate, []
 
         def spy(block):
             sizes.append(len(block))
             return real(block)
         monkeypatch.setattr(matrices, "_eliminate", spy)
-        got = matrices._eliminate_symmetric([row[:] for row in a])
-        assert sizes == [2]
+        got = matrices._eliminate_symmetric(upper_rows(a))
+        assert sizes == [size]
         assert got == real([row[:] for row in a])
         assert got[:3] == charpoly_inertia(a)
         assert got[3] == sympy.Matrix(a).det()
