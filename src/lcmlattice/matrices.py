@@ -2,12 +2,12 @@
 
 Two independent routes exist for every headline quantity.  The formula route
 goes through the Psi vector (an inclusion-exclusion over the divisor poset);
-the oracle route is one exact symmetric elimination of the integer-scaled
-matrix, pivots from the first index up, whose pivot product gives the
-determinant and whose pivot signs give the inertia by Sylvester's law of
-inertia.  On a gcd-closed set in ascending order, pivot k is x_k * w_k =
-x_k^2 * Psi_k, the congruence factorization() builds; the oracle still
-shares no code with the Psi route, so their agreement is meaningful.
+the oracle route is one exact symmetric elimination of the matrix as it is,
+pivots from the first index up, whose pivot product gives the determinant
+and whose pivot signs give the inertia by Sylvester's law of inertia.  On a
+gcd-closed set in ascending order, pivot k is x_k * w_k = x_k^2 * Psi_k,
+the congruence factorization() builds; the oracle still shares no code with
+the Psi route, so their agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -236,139 +236,86 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
     return delta, e, ExactMatrix.diagonal(values)
 
 
-def _scaled_to_int(m: ExactMatrix) -> tuple[list[list[int]], int]:
-    """A square matrix times the lcm of its denominators, as integer rows, and
-    that multiplier (1 for an all-integer matrix); NonSquareError for a
-    non-square matrix."""
-    if not m.is_square:
-        raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
-    if all(type(v) is int for row in m.entries for v in row):
-        return [list(row) for row in m.entries], 1
-    scale = math.lcm(*(v.denominator for row in m.entries for v in row))
-    return [[int(v * scale) for v in row] for row in m.entries], scale
-
-
-def _eliminate(a: list[list[int]]) -> tuple[int, int, int, int]:
-    """Fraction-free elimination of a square integer matrix (destructive):
-    (plus, minus, zero, det).
-
-    The pivot is the first nonzero diagonal entry left.  Updates divide
-    exactly by the previous pivot, as in Bareiss, and every step has
-    determinant 1: det is the last pivot, or 0 when an all-zero block is
-    left.  On a symmetric matrix the block left is the previous pivot times
-    the Schur complement, so by Sylvester's law of inertia each pivot adds an
-    eigenvalue of sign sign(pivot) * sign(previous pivot), and an all-zero
-    block left counts as zeros.
-
-    Rows are scaled lazily.  At a step where row i has lead a_ik = 0, the
-    Schur complement row does not change, and Bareiss would only multiply
-    the row by pivot / prev; it is left as it is.  So with p_s the last pivot
-    and p_{t_i} = scale[i] the pivot of the last step that updated row i
-    (1 before any), the Bareiss row is R_i * p_s / p_{t_i} for the stored
-    row R_i.  A row with a nonzero lead becomes (R_i * pivot - a_ik * row_k) /
-    p_{t_i}: that is the Bareiss update of R_i * p_s / p_{t_i}, an integer,
-    so the division is exact; then scale[i] = pivot.  The pivot row and both
-    rows of a row add are first brought to p_s.  Zero tests read the stored
-    rows: a nonzero ratio keeps zeros.
-
-    If the diagonal left is all 0, row j, the first with a nonzero entry in
-    the first nonzero column k, is added to row k.  On a symmetric block the
-    rows before k and a_ik for k < i < j are 0, so after the pivot a_jk the
-    diagonal is 0 before j and -a_jk^2 / prev at j: j is the next pivot.
-    Rows k and j lie in every later Bareiss minor, where the row add drops
-    out, so the block left is again the scaled Schur complement, and the two
-    pivots give one plus and one minus, as [[0, b], [b, 0]] does.
-    """
-    rest = list(range(len(a)))
-    scale = [1] * len(a)
-    plus, minus, prev = 0, 0, 1
-
-    def current(i: int) -> list[int]:
-        row, s = a[i], scale[i]
-        if s != prev:
-            for c in rest:
-                row[c] = row[c] * prev // s
-            scale[i] = prev
-        return row
-
-    while rest:
-        k = next((i for i in rest if a[i][i]), None)
-        if k is None:
-            j, k = next(((j, k) for k in rest for j in rest if a[j][k]), (None, None))
-            if k is None:
-                break
-            row_j, row_k = current(j), current(k)
-            for t in rest:
-                row_k[t] += row_j[t]
-        row_k = current(k)
-        pivot = row_k[k]
-        if (pivot > 0) == (prev > 0):
-            plus += 1
-        else:
-            minus += 1
-        rest.remove(k)
-        for i in rest:
-            row_i = a[i]
-            lead = row_i[k]
-            if lead:
-                s = scale[i]
-                for c in rest:
-                    row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // s
-                scale[i] = pivot
-        prev = pivot
-    return plus, minus, len(rest), 0 if rest else prev
-
-
-def _eliminate_symmetric(a: list[list[int]]) -> tuple[int, int, int, int]:
-    """Exact elimination of a symmetric integer matrix given by its upper
+def _eliminate_symmetric(a: list[list[int | Fraction]]) -> tuple[int, int, int, int | Fraction]:
+    """Exact elimination of a symmetric rational matrix given by its upper
     rows, a[k] = row k from its diagonal on: (plus, minus, zero, det).
-    Destructive: a[k] becomes row k of the block left before step k.
+    Destructive: a[k] becomes row k of the block left before step k, after
+    any congruence step.
 
     Pivot k is the diagonal entry, with no scale factor: the block left is
     the Schur complement, so each pivot adds an eigenvalue of its sign
-    (Sylvester's law of inertia) and det is the product of the pivots.  Once
-    the pivot divides every entry of its row, so that every division of the
-    step is exact, row i with lead a_ki != 0 becomes a_ic - a_ki * a_kc //
-    pivot for c >= i.  An all-zero row adds a zero eigenvalue and is
-    dropped.  Any other step, a pivot that does not divide its row or a zero
-    pivot on a nonzero row, hands the block left to _eliminate: the counts
-    add, and det is the product of the pivots times the block's.
+    (Sylvester's law of inertia) and det is the product of the pivots.  Row i
+    with lead a_ki != 0 becomes a_ic - q * a_kc for c >= i, q = a_ki / pivot:
+    lead // pivot where the pivot divides the lead, so int rows stay ints,
+    else a Fraction.  An all-zero row adds a zero eigenvalue and is dropped.
+    A zero pivot on a nonzero row, whose first nonzero entry is a_kj, first
+    adds t times row j and column j to row k and column k, a congruence of
+    determinant 1: the pivot becomes 2 t a_kj + a_jj, with t = 1 unless that
+    is 0, and t = -1 then.
 
-    An LCM matrix of a gcd-closed set in ascending order never hands off.  It
-    is D Lambda D^T, D = Delta E lower triangular (factorization()).  Let the
-    block left before step k be D_Q Lambda_Q D_Q^T over Q = {k, k+1, ...}.
-    The strict divisors of x_k precede it, so row k of D_Q is x_k e_k, and
-    row k of the block is w_k x_j where x_k | x_j, else 0 (w_k = x_k Psi_k):
-    pivot k is x_k w_k.  If Psi_k = 0 the row is all zero; else the pivot
-    divides the row, and a_ki a_kc / pivot = (x_i / x_k) x_c w_k removes the
-    term of k.  Either way the block left is D_Q' Lambda_Q' D_Q'^T, Q' = Q -
-    {k}.  Only the proof reads Psi and divisibility.
+    On an LCM matrix of a gcd-closed set in ascending order every q is the
+    integer x_i / x_k.  It is D Lambda D^T, D = Delta E lower triangular
+    (factorization()).  Let the block left before step k be D_Q Lambda_Q
+    D_Q^T over Q = {k, k+1, ...}.  The strict divisors of x_k precede it, so
+    row k of D_Q is x_k e_k, and row k of the block is w_k x_j where x_k |
+    x_j, else 0 (w_k = x_k Psi_k): pivot k is x_k w_k.  If Psi_k = 0 the row
+    is all zero; else q = x_i / x_k, and q a_kc = (x_i / x_k) x_c w_k removes
+    the term of k.  Either way the block left is D_Q' Lambda_Q' D_Q'^T,
+    Q' = Q - {k}.  Only the proof reads Psi and divisibility.
     """
     plus, minus, zero, det = 0, 0, 0, 1
     for k, row_k in enumerate(a):
-        pivot = row_k[0]
         if not any(row_k):
             zero += 1
-        elif pivot and not math.gcd(*row_k) % pivot:
-            for i, lead in enumerate(row_k[1:], k + 1):
-                if lead:
-                    a[i] = [x - lead * y // pivot for x, y in zip(a[i], row_k[i - k:])]
-            plus += pivot > 0
-            minus += pivot < 0
-        else:
-            r = range(len(row_k))
-            block = [[a[k + min(p, q)][abs(p - q)] for q in r] for p in r]
-            more_plus, more_minus, more_zero, more_det = _eliminate(block)
-            return plus + more_plus, minus + more_minus, zero + more_zero, det * more_det
+            det = 0
+            continue
+        if not row_k[0]:
+            d = next(d for d, v in enumerate(row_k) if v)
+            j = k + d
+            t = 1 if 2 * row_k[d] + a[j][0] else -1
+            row_k = a[k] = [2 * t * row_k[d] + a[j][0],
+                            *(t * a[c][j - c] for c in range(k + 1, j)),
+                            *(x + t * y for x, y in zip(row_k[d:], a[j]))]
+        pivot = row_k[0]
+        for i, lead in enumerate(row_k[1:], k + 1):
+            if lead:
+                q = lead // pivot if not lead % pivot else Fraction(lead, pivot)
+                a[i] = [x - q * y for x, y in zip(a[i], row_k[i - k:])]
+        plus += pivot > 0
+        minus += pivot < 0
         det *= pivot
     return plus, minus, zero, det
 
 
 def determinant_exact(m: ExactMatrix) -> Fraction:
-    """Exact determinant of any square rational matrix, by the fraction-free
-    elimination that finishes congruence_oracle's hand-offs."""
-    rows, scale = _scaled_to_int(m)
-    return Fraction(_eliminate(rows)[3], scale ** m.rows)
+    """Exact determinant of any square rational matrix: the matrix times the
+    lcm of its denominators, by Bareiss's fraction-free elimination (E. H.
+    Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968).  Each update divides exactly by the
+    previous pivot, so the last pivot is the determinant.  A zero pivot swaps
+    in the first row below it with a nonzero entry in its column, which
+    flips the sign; a column with none gives 0."""
+    if not m.is_square:
+        raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
+    n = m.rows
+    scale = math.lcm(*(v.denominator for row in m.entries for v in row))
+    a = [[int(v * scale) for v in row] for row in m.entries]
+    sign, prev = 1, 1
+    for k in range(n):
+        j = next((i for i in range(k, n) if a[i][k]), None)
+        if j is None:
+            return Fraction(0)
+        if j != k:
+            a[k], a[j] = a[j], a[k]
+            sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
+        for row_i in a[k + 1:]:
+            lead = row_i[k]
+            for c in range(k + 1, n):
+                row_i[c] = (row_i[c] * pivot - lead * row_k[c]) // prev
+        prev = pivot
+    return Fraction(sign * prev, scale ** n)
 
 
 def determinant_via_psi(p: DivisorPoset) -> Fraction:
@@ -400,14 +347,15 @@ def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
 
 def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
     """Inertia and determinant of a symmetric rational matrix from one exact
-    elimination of it scaled to integers, pivots from the first index up,
-    with no Psi values: the pivot signs give the inertia (Sylvester's law of
-    inertia), their product the determinant."""
-    a, scale = _scaled_to_int(m)
+    elimination of its upper rows as they are, pivots from the first index
+    up, with no Psi values: the pivot signs give the inertia (Sylvester's
+    law of inertia), their product the determinant."""
+    if not m.is_square:
+        raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    inertia, det = _upper_congruence([row[i:] for i, row in enumerate(a)])
-    return inertia, Fraction(det, scale ** m.rows)
+    inertia, det = _upper_congruence([row[i:] for i, row in enumerate(m.entries)])
+    return inertia, Fraction(det)
 
 
 def lcm_congruence_oracle(p: DivisorPoset) -> tuple[InertiaTriple, int]:
@@ -417,8 +365,8 @@ def lcm_congruence_oracle(p: DivisorPoset) -> tuple[InertiaTriple, int]:
     return _upper_congruence([[math.lcm(x, y) for y in els[i:]] for i, x in enumerate(els)])
 
 
-def _upper_congruence(a: list[list[int]]) -> tuple[InertiaTriple, int]:
-    """The oracle on the upper rows of a symmetric integer matrix."""
+def _upper_congruence(a: list[list[int | Fraction]]) -> tuple[InertiaTriple, int | Fraction]:
+    """The oracle on the upper rows of a symmetric rational matrix."""
     plus, minus, zero, det = _eliminate_symmetric(a)
     _verify(plus + minus + zero == len(a), "congruence counts failed to add up")
     return InertiaTriple(plus, minus, zero), det

@@ -147,9 +147,23 @@ def zero_diagonal_int_matrices(draw) -> list[list[int]]:
 
 
 @st.composite
+def symmetric_fraction_matrices(draw) -> list[list[int | F]]:
+    """Small symmetric matrices of Fractions mixed with ints, dense or with a
+    zero diagonal."""
+    n = draw(st.integers(0, 6))
+    dense = draw(st.booleans())
+    entry = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-4, 4), st.integers(1, 6)))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + dense):
+            a[i][j] = a[j][i] = draw(entry)
+    return a
+
+
+@st.composite
 def sparse_int_matrices(draw) -> list[list[int]]:
     """Integer matrices of order up to 8, mostly 0, symmetric or not: most
-    rows have lead 0 at most pivots, so the elimination leaves them stale."""
+    rows have lead 0 at most pivots, so most steps leave them as they are."""
     n = draw(st.integers(0, 8))
     symmetric = draw(st.booleans())
     entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
@@ -495,12 +509,22 @@ class TestCharpolyOracle:
     @settings(max_examples=300, deadline=None)
     @given(symmetric_int_matrices())
     def test_matches_charpoly_read_out(self, a):
-        assert inertia_charpoly_oracle(ExactMatrix(a)).as_tuple() == charpoly_inertia(a)
-        assert matrices._eliminate_symmetric(upper_rows(a)) \
-            == matrices._eliminate([row[:] for row in a])
+        want = (*charpoly_inertia(a), sympy.Matrix(a).det())
+        assert inertia_charpoly_oracle(ExactMatrix(a)).as_tuple() == want[:3]
+        assert matrices._eliminate_symmetric(upper_rows(a)) == want
         triple, det = congruence_oracle(ExactMatrix(a))
-        assert triple.as_tuple() == charpoly_inertia(a)
-        assert det == sympy.Matrix(a).det()
+        assert (*triple.as_tuple(), det) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_fraction_matrices())
+    def test_rational_matrices_match_the_scaled_charpoly(self, a):
+        # Scaling by the lcm of the denominators, a positive integer, keeps
+        # the inertia, so the integer characteristic polynomial reads it.
+        scale = math.lcm(*(v.denominator for row in a for v in row))
+        m = ExactMatrix(a)
+        triple, det = congruence_oracle(m)
+        assert triple.as_tuple() == charpoly_inertia([[int(v * scale) for v in row] for row in a])
+        assert det == determinant_exact(m) == sympy.Matrix(a).det()
 
     def test_charpoly_matches_sympy(self, corpus):
         # Independent check of the test-side integer characteristic
@@ -549,7 +573,7 @@ class TestCharpolyOracle:
                             for r, row in enumerate(a)])
         assert not any(v is None for row in upper for v in row)
         assert matrices._eliminate_symmetric(upper) \
-            == matrices._eliminate([row[:] for row in a])
+            == (*charpoly_inertia(a), sympy.Matrix(a).det())
 
     def test_oracles_call_nothing_on_the_psi_route(self, corpus, monkeypatch):
         small = [p for _, p in corpus if p.n <= 64]
@@ -570,26 +594,24 @@ class TestCharpolyOracle:
 
 
 class TestLazyRowScaling:
-    """_eliminate leaves a row with lead 0 as it is and brings it to the
-    current scale only when it is next updated, pivots or is added;
-    _eliminate_symmetric hands such blocks to it at scale 1."""
+    """Matrices whose rows have lead 0 at most pivots and later meet in
+    congruence steps and Fraction steps (the cases that lazily scaled rows
+    once had to get right): the symmetric elimination against the third
+    oracles, and determinant_exact against the permutation sum."""
 
     @pytest.mark.parametrize("a, want", [
         # [2] + [[3, 1], [1, 5]] + [[0, 1], [1, 0]]: every row skips the first
-        # pivot.  Row 1 is then a stale pivot row, row 2 a stale row with a
-        # nonzero lead, and the stale rows 3 and 4 meet in the row add once
-        # the diagonal left is all 0.
+        # pivot, and the last block takes a congruence step.
         ([[2, 0, 0, 0, 0], [0, 3, 1, 0, 0], [0, 1, 5, 0, 0], [0, 0, 0, 0, 1],
           [0, 0, 0, 1, 0]], (4, 1, 0, -28)),
-        # A zero diagonal: the rows of the later row adds were last updated
-        # at different pivots, so both must be brought to scale first.
+        # A zero diagonal: the rows of the later congruence steps were last
+        # updated at different pivots.
         ([[0, 0, -3, 0, 0, -2, 0], [0, 0, 1, 0, 3, 3, 0], [-3, 1, 0, 0, 0, 0, 0],
           [0, 0, 0, 0, 0, 0, 3], [0, 3, 0, 0, 0, 2, 0], [-2, 3, 0, 0, 2, 0, 0],
           [0, 0, 0, 3, 0, 0, 0]], (3, 4, 0, 2268)),
     ])
     def test_stale_rows_pivot_update_and_meet_in_the_row_add(self, a, want):
         m = ExactMatrix(a)
-        assert matrices._eliminate([row[:] for row in a]) == want
         assert matrices._eliminate_symmetric(upper_rows(a)) == want
         assert determinant_exact(m) == permutation_determinant(m) == want[3]
         triple, det = congruence_oracle(m)
@@ -605,8 +627,7 @@ class TestLazyRowScaling:
             triple, det = congruence_oracle(m)
             assert triple.as_tuple() == charpoly_inertia(a)
             assert det == sympy.Matrix(a).det()
-            assert matrices._eliminate_symmetric(upper_rows(a)) \
-                == matrices._eliminate([row[:] for row in a])
+            assert matrices._eliminate_symmetric(upper_rows(a)) == (*triple.as_tuple(), det)
 
 
 def _random_closure(divs: list[int]):
@@ -625,19 +646,22 @@ def _perturbed_lcm() -> list[list[int]]:
 
 class TestExactElimination:
     """_eliminate_symmetric keeps each block left at its true scale.  On the
-    LCM matrix of a gcd-closed set in ascending order it never hands off and
-    pivot k is x_k * w_k; other matrices may be handed to _eliminate."""
+    LCM matrix of a gcd-closed set in ascending order every entry stays an
+    int and pivot k is x_k * w_k; other matrices take Fraction steps, where a
+    pivot does not divide its lead, and congruence steps, where a zero pivot
+    has a nonzero row."""
 
     @staticmethod
     def assert_pivots_are_weights(p):
         # The weights come from psi here, in the test only: the elimination
-        # reads none.
+        # reads none.  Once an entry is a Fraction, every later entry computed
+        # from it is one too, so the rows left at the end show every step.
         els = p.elements
         psis = psi(p)
         a = [[math.lcm(x, y) for y in els[i:]] for i, x in enumerate(els)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matrices, "_eliminate", lambda a: pytest.fail("handed off"))
-            result = matrices._eliminate_symmetric(a)
+        result = matrices._eliminate_symmetric(a)
+        assert all(type(v) is int for row in a for v in row)
+        assert type(result[3]) is int
         assert [row[0] for row in a] == [x * x * v for x, v in zip(els, psis)]
         assert result == (*psis.inertia().as_tuple(), psis.determinant())
 
@@ -652,30 +676,32 @@ class TestExactElimination:
     def test_random_closures_never_hand_off(self, p):
         self.assert_pivots_are_weights(p)
 
-    @pytest.mark.parametrize("a, size", [
-        # An inexact first step: 2 does not divide 1 * 1 or the 1 in its row.
-        ([[2, 1], [1, 2]], 2),
-        # Four exact steps, then pivot 13 on the last two rows.
-        (_perturbed_lcm(), 2),
-        # One exact step leaves [[0, 1], [1, 0]]: a zero pivot on a nonzero row.
-        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], 2),
+    @pytest.mark.parametrize("a, pivots", [
+        # A Fraction first step: 2 does not divide the 1 in its row.
+        ([[2, 1], [1, 2]], [2, F(3, 2)]),
+        # Four int steps, then pivot 13, which does not divide the 24.
+        (_perturbed_lcm(), [1, -2, -6, -4, 13, F(360, 13)]),
+        # One int step leaves [[0, 1], [1, 0]]: a zero pivot on a nonzero row,
+        # so a congruence step with t = 1 makes the pivot 2 * 1 + 0.
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], [1, 2, F(-1, 2)]),
         # Pivot 4 divides each product 2 * 2 it meets but not the 2s of its
-        # row: the whole matrix is handed off, and the result is unchanged.
-        ([[4, 2, 2], [2, 5, 3], [2, 3, 7]], 3),
+        # row: both later steps are Fraction steps.
+        ([[4, 2, 2], [2, 5, 3], [2, 3, 7]], [4, 4, 5]),
+        # 2 * 1 + (-2) = 0, so the congruence step takes t = -1: pivot
+        # -2 * 1 + (-2) = -4.
+        ([[0, 1], [1, -2]], [-4, F(1, 4)]),
     ], ids=["inexact-first", "perturbed-lcm", "zero-pivot-nonzero-row",
-            "pivot-not-dividing-its-row"])
-    def test_hand_off_block_left(self, monkeypatch, a, size):
-        real, sizes = matrices._eliminate, []
-
-        def spy(block):
-            sizes.append(len(block))
-            return real(block)
-        monkeypatch.setattr(matrices, "_eliminate", spy)
-        got = matrices._eliminate_symmetric(upper_rows(a))
-        assert sizes == [size]
-        assert got == real([row[:] for row in a])
+            "pivot-not-dividing-its-row", "congruence-t-minus-one"])
+    def test_hand_off_block_left(self, a, pivots):
+        upper = upper_rows(a)
+        got = matrices._eliminate_symmetric(upper)
+        assert [row[0] for row in upper] == pivots
+        assert any(type(v) is F for row in upper for v in row)
         assert got[:3] == charpoly_inertia(a)
-        assert got[3] == sympy.Matrix(a).det()
+        assert got[3] == math.prod(pivots) == sympy.Matrix(a).det()
+        m = ExactMatrix(a)
+        assert congruence_oracle(m) == (InertiaTriple(*got[:3]), got[3])
+        assert determinant_exact(m) == permutation_determinant(m) == got[3]
 
 
 class TestSignClassification:
