@@ -595,9 +595,8 @@ class TestCharpolyOracle:
 
 class TestLazyRowScaling:
     """Matrices whose rows have lead 0 at most pivots and later meet in
-    congruence steps and Fraction steps (the cases that lazily scaled rows
-    once had to get right): the symmetric elimination against the third
-    oracles, and determinant_exact against the permutation sum."""
+    congruence steps and Fraction steps: the symmetric elimination against
+    the third oracles, and determinant_exact against the permutation sum."""
 
     @pytest.mark.parametrize("a, want", [
         # [2] + [[3, 1], [1, 5]] + [[0, 1], [1, 0]]: every row skips the first
