@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .lattice import DivisorPoset, _bits, _verify
+from .lattice import DivisorPoset, _bits, _covers, _verify
 from .matrices import _w_by_crosscut, _w_by_recursion
 
 
@@ -316,9 +316,9 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
                     kids |= (grown >> (da & down[b]).bit_length() - 1 & 1) << b
                 if kids.bit_count() < left - 1:
                     continue
-            x, lower = els[a], list(_bits(strict))
-            w[a] = _w_by_recursion(x, [(els[b], w[b]) for b in lower])
-            covers = [els[b] for b in lower if not u._up[b] & strict]
+            x = els[a]
+            w[a] = _w_by_recursion(x, [(els[b], w[b]) for b in _bits(strict)])
+            covers = [els[b] for b in _covers(strict, down)]
             _verify(w[a] == _w_by_crosscut(x, covers),
                     f"the two Psi routes disagreed at {x}")
             chosen.append(a)

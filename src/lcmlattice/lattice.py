@@ -7,7 +7,7 @@ floating point enters any analysis path.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, partial
 from itertools import repeat
 
@@ -59,6 +59,18 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _covers(strict: int, down: Sequence[int]) -> tuple[int, ...]:
+    """The maximal indices of the mask strict, ascending, given each index's
+    down-set mask: the highest index left is maximal, since divisors come
+    first, so peel it with its down-set and repeat."""
+    top = []
+    while strict:
+        h = strict.bit_length() - 1
+        top.append(h)
+        strict &= ~down[h]
+    return tuple(reversed(top))
+
+
 class DivisorPoset:
     """An immutable poset of distinct positive integers under divisibility.
 
@@ -72,31 +84,23 @@ class DivisorPoset:
         self._index = {x: i for i, x in enumerate(self.elements)}
         n = len(self.elements)
 
-        # One pass reads g = gcd(x_a, x_b) for each pair a > b: g == x_b sets bit a
-        # of _up[b] and bit b of _down[a] (which also holds a); _low_meet[b] is the
-        # lowest index of these g (-1 if one is not a member, n for the last b).
+        # One pass reads g = gcd(x_a, x_b) for each pair a > b: g == x_b sets bit b
+        # of _down[a]; _low_meet[b] is the lowest index of these g (-1 if one is
+        # not a member, n for the last b).
         els, present = self.elements, self._index
-        up, down, low, meets = [], [1 << i for i in range(n)], [], set()
+        down, low, meets = [1 << i for i in range(n)], [], set()
         for b, x in enumerate(els):
             gs = list(map(math.gcd, els[b + 1:], repeat(x)))
-            bit, m = 1 << b, 0
             for a, g in enumerate(gs, b + 1):
                 if g == x:
-                    m |= 1 << a
-                    down[a] |= bit
-            up.append(m)
+                    down[a] |= 1 << b
             gs = set(gs)
             meets |= gs     # the gcds of distinct members
             low.append(-1 if not present.keys() >= gs else
                        present[min(gs)] if gs else n)
-        self._down, self._up = tuple(down), tuple(up)
+        self._down = tuple(down)
         self._low_meet, self._meets = tuple(low), frozenset(meets)
-
-        covered = []
-        for i in range(n):
-            strict = down[i] & ~(1 << i)
-            covered.append(tuple(j for j in _bits(strict) if not (strict & up[j])))
-        self._covered = tuple(covered)
+        self._covered = tuple(_covers(d & ~(1 << i), down) for i, d in enumerate(down))
 
     @property
     def n(self) -> int:
@@ -122,7 +126,7 @@ class DivisorPoset:
 
     def covers_of(self, j: int) -> tuple[int, ...]:
         """Indices of the elements that cover x_j within the set."""
-        return tuple(i for i in _bits(self._up[j]) if j in self._covered[i])
+        return tuple(i for i in range(j + 1, self.n) if j in self._covered[i])
 
     @cached_property
     def gcd_closed(self) -> bool:
@@ -148,16 +152,9 @@ class SubPoset:
         for m in self.members:
             if not 0 <= m < parent.n:
                 raise ValueError(f"index {m} outside parent poset")
-        mask = 0
-        for m in self.members:
-            mask |= 1 << m
-        self._mask = mask
-        covered = {}
-        for m in self.members:
-            strict = parent._down[m] & mask & ~(1 << m)
-            covered[m] = tuple(j for j in _bits(strict)
-                               if not (strict & parent._up[j]))
-        self._covered = covered
+        self._mask = mask = sum(1 << m for m in self.members)
+        self._covered = {m: _covers(parent._down[m] & mask & ~(1 << m), parent._down)
+                         for m in self.members}
 
     @property
     def size(self) -> int:
@@ -187,22 +184,20 @@ def is_gcd_closed(p: DivisorPoset) -> bool:
     return p.gcd_closed
 
 
-def _close(have: set[int], op: Callable[[int, int], int]) -> tuple[int, ...]:
-    """Grow have until it holds op(a, b) for every pair a, b in it; sorted."""
-    queue = list(have)
-    while queue:
-        a = queue.pop()
-        for b in list(have):
-            c = op(a, b)
-            if c not in have:
-                have.add(c)
-                queue.append(c)
+def _close(gens: Iterable[int], op: Callable[[int, int], int]) -> tuple[int, ...]:
+    """The closure of gens under an associative, commutative, idempotent op,
+    sorted, grown one generator g at a time: C + {g} + {op(g, c) : c in C}."""
+    have: set[int] = set()
+    for g in gens:
+        if g not in have:
+            have |= {op(g, c) for c in have}
+            have.add(g)
     return tuple(sorted(have))
 
 
 def gcd_closure(xs: Iterable[int]) -> tuple[int, ...]:
     """Smallest superset of xs closed under pairwise gcd, sorted ascending."""
-    return _close(set(_positive_ints(xs)), math.gcd)
+    return _close(_positive_ints(xs), math.gcd)
 
 
 def meet(p: DivisorPoset, i: int, j: int) -> int:
@@ -221,11 +216,11 @@ def meet_closure(p: DivisorPoset, subset: Iterable[int]) -> tuple[int, ...]:
     Requires every needed meet to exist inside p (raises MeetOutsideSetError
     otherwise, which signals that p was not gcd closed where it mattered).
     """
-    have = set(subset)
-    for m in have:
+    subset = list(subset)
+    for m in subset:
         if not 0 <= m < p.n:
             raise ValueError(f"index {m} outside poset")
-    return _close(have, partial(meet, p))
+    return _close(subset, partial(meet, p))
 
 
 def width(sp: SubPoset) -> int:

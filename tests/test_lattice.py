@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -37,6 +38,38 @@ def exhaustive_width(sp: SubPoset) -> int:
                for a, b in combinations(chosen, 2)):
             best = max(best, len(chosen))
     return best
+
+
+def brute_covered(els: tuple[int, ...], members, i: int) -> tuple[int, ...]:
+    """The members that x_i covers, from the definition: x_j | x_i, j != i,
+    and no member strictly between them."""
+    return tuple(j for j in members
+                 if j != i and els[i] % els[j] == 0
+                 and not any(k not in (i, j) and els[k] % els[j] == 0
+                             and els[i] % els[k] == 0 for k in members))
+
+
+def pairwise_close(have, op) -> tuple[int, ...]:
+    """Reference closure: grow have until it holds op(a, b) for every pair
+    a, b in it, by a worklist over pairs; sorted."""
+    have = set(have)
+    queue = list(have)
+    while queue:
+        a = queue.pop()
+        for b in list(have):
+            c = op(a, b)
+            if c not in have:
+                have.add(c)
+                queue.append(c)
+    return tuple(sorted(have))
+
+
+def meet_outcome(close, p: DivisorPoset, subset):
+    """The closure, or MeetOutsideSetError if closing raised it."""
+    try:
+        return close(p, subset)
+    except MeetOutsideSetError:
+        return MeetOutsideSetError
 
 
 class TestConstruction:
@@ -103,6 +136,20 @@ class TestOrder:
                 for a, b in combinations(cs, 2):
                     assert not p.leq(a, b) and not p.leq(b, a)
 
+    @given(st.lists(st.integers(min_value=1, max_value=120),
+                    min_size=1, max_size=14), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_covers_match_definition_random(self, xs, data):
+        p = build_poset(xs)
+        els, full = p.elements, range(p.n)
+        for i in full:
+            assert p.covered(i) == brute_covered(els, full, i)
+            assert p.covers_of(i) == tuple(k for k in full
+                                           if i in brute_covered(els, full, k))
+        sp = SubPoset(p, data.draw(st.sets(st.sampled_from(full))))
+        for m in sp.members:
+            assert sp.covered(m) == brute_covered(els, sp.members, m)
+
 
 class TestClosure:
     def test_is_gcd_closed(self):
@@ -146,6 +193,12 @@ class TestClosure:
         assert is_gcd_closed(build_poset(closed))
         assert gcd_closure(closed) == closed
 
+    @given(st.lists(st.integers(min_value=1, max_value=5000),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_closure_matches_pairwise_reference(self, xs):
+        assert gcd_closure(xs) == pairwise_close(xs, math.gcd)
+
 
 class TestMeet:
     def test_meet_inside(self):
@@ -170,6 +223,18 @@ class TestMeet:
         idxs = [p.index(2), p.index(8)]
         assert meet_closure(p, idxs) == tuple(sorted(idxs))
         assert meet_closure(p, []) == ()
+
+    @given(st.lists(st.integers(min_value=1, max_value=360),
+                    min_size=1, max_size=12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_meet_closure_matches_pairwise_reference(self, xs, data):
+        # The sets are mostly not gcd closed, so both sides often raise; they
+        # must raise on the same subsets and agree everywhere else.
+        p = build_poset(xs)
+        subset = data.draw(st.lists(st.sampled_from(range(p.n)), max_size=6))
+        reference = meet_outcome(
+            lambda q, s: pairwise_close(s, partial(meet, q)), p, subset)
+        assert meet_outcome(meet_closure, p, subset) == reference
 
 
 class TestWidth:
