@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .lattice import (
     DivisorPoset,
     SubPoset,
+    _covers,
     _verify,
     gcd_closure,
     meet_closure,
@@ -127,11 +128,11 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
             f"element {p.elements[i]}: core of its covered set has width > 2")
     chain_a, chain_b = split
 
-    closure_sp = SubPoset(p, core.members + c)
+    # C is an antichain, so what a cover z covers inside core + C lies in the core.
+    core_below = {z: _covers(p._down[z] & core._mask, p._down) for z in c}
     attach: dict[int, list[int]] = {m: [] for m in core.members}
     doubly: int | None = None
-    for z in c:
-        below = closure_sp.covered(z)
+    for z, below in core_below.items():
         for k in below:
             attach[k].append(z)
         if len(below) >= 2:
@@ -157,7 +158,7 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
                 "an element with at most one cover has a non-empty core")
 
     if doubly is not None:
-        q, r = closure_sp.covered(doubly)
+        q, r = core_below[doubly]
         _verify(top_a is not None and top_b is not None,
                 "a cover attached to both chains, but a chain has no top")
         _verify(not (p.leq(top_a, top_b) or p.leq(top_b, top_a)),

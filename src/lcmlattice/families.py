@@ -347,9 +347,9 @@ def enumerate_gcd_closed(universe: int, size: int) -> Iterator[DivisorPoset]:
     """Stream all gcd-closed subsets of the divisors of ``universe`` with
     exactly ``size`` elements, in lexicographic order of their element lists
     (at most 4,096 divisors, else BadParamsError)."""
-    u = _universe_poset(universe)
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise BadParamsError(f"need integer size >= 1, got {size!r}")
+    u = _universe_poset(universe)
     for idxs, _ in _closed_index_subsets(u, size):
         yield DivisorPoset(u.elements[i] for i in idxs)
 

@@ -83,7 +83,7 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         bt = list(zip(*other.entries))
-        return ExactMatrix([[sum(a * b for a, b in zip(row, col))
+        return ExactMatrix([[sum(a * b for a, b in zip(row, col) if a and b)
                              for col in bt] for row in self.entries])
 
     @property

@@ -49,19 +49,15 @@ def mobius_via_zeta_inverse(p: DivisorPoset) -> MoebiusTable:
     """Oracle route: exact integer inverse of the zeta (divisibility) matrix.
 
     The zeta matrix is unitriangular in the ascending element order, so back
-    substitution inverts it exactly over the integers.
+    substitution inverts it exactly over the integers.  Row j runs over its
+    nonzero entries, the k > j with x_j | x_k, and column i over rows up to i.
     """
     n = p.n
-    zeta = [[1 if p.leq(j, i) else 0 for i in range(n)] for j in range(n)]
+    above = [[k for k in range(j + 1, n) if p.leq(j, k)] for j in range(n)]
     inv = [[0] * n for _ in range(n)]
     for col in range(n):
-        x = [0] * n
-        x[col] = 1
-        for row in range(n - 1, -1, -1):
-            acc = x[row]
-            for k in range(row + 1, n):
-                acc -= zeta[row][k] * inv[k][col]
-            inv[row][col] = acc
+        for row in range(col, -1, -1):
+            inv[row][col] = (row == col) - sum(inv[k][col] for k in above[row])
     return MoebiusTable(p, tuple(tuple(row) for row in inv))
 
 

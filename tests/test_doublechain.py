@@ -17,6 +17,7 @@ from lcmlattice import (
     core_set,
     cube_instances,
     decompose_chains,
+    divisors,
     gcd_closure,
     generates_double_chain,
     incomparable_tops_instance,
@@ -203,6 +204,32 @@ class TestDecomposition:
             if gen:
                 d = decompose_chains(p, i)
                 assert sorted(d.chain_a + d.chain_b) == list(d.core.members)
+
+    @given(st.one_of(
+        st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=7),
+        st.lists(st.sampled_from(divisors(720720)), min_size=1, max_size=7)))
+    @settings(max_examples=150, deadline=None)
+    def test_attach_matches_brute_force(self, xs):
+        # attach[m] lists the covers z of x_i for which m is a maximal core
+        # element dividing z, with the core found by closing the covers'
+        # values under gcd.
+        p = build_poset(gcd_closure(xs))
+        els = p.elements
+        for i in range(p.n):
+            if not generates_double_chain(p, i):
+                continue
+            d = decompose_chains(p, i)
+            covers = _covered_brute(els, i)
+            closed = {els[z] for z in covers}
+            while (more := closed | {math.gcd(a, b) for a in closed for b in closed}) != closed:
+                closed = more
+            core = sorted(els.index(v) for v in closed - {els[z] for z in covers})
+            assert list(d.attach) == core == list(d.core.members)
+            for m in core:
+                assert d.attach[m] == tuple(
+                    z for z in covers if els[z] % els[m] == 0
+                    and not any(k != m and els[k] % els[m] == 0 and els[z] % els[k] == 0
+                                for k in core))
 
 
 def _closed_brute(xs) -> bool:

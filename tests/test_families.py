@@ -272,6 +272,13 @@ class TestEnumeration:
         with pytest.raises(BadParamsError):
             list(enumerate_gcd_closed(0, 3))
 
+    def test_bad_size_is_refused_before_the_universe_is_built(self):
+        # The primes up to 53 give 65,536 divisors, past the cap; the error
+        # still names the bad size, since size is checked first.
+        universe = math.prod(sympy.primerange(2, 54))
+        with pytest.raises(BadParamsError, match="need integer size >= 1"):
+            next(enumerate_gcd_closed(universe, 0))
+
 
 class TestSearch:
     def test_default_universes(self):

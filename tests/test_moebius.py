@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import mobius as nt_mobius
 
@@ -84,6 +84,22 @@ class TestZetaInverse:
                     acc = sum(
                         (1 if p.leq(j, k) else 0) * m[k][i] for k in range(p.n))
                     assert acc == (1 if i == j else 0)
+
+    @given(st.one_of(
+        st.lists(st.sampled_from(divisors(720720)), min_size=2, max_size=14),
+        st.lists(st.integers(min_value=1, max_value=300), min_size=2, max_size=12)))
+    @settings(max_examples=150, deadline=None)
+    def test_sets_not_gcd_closed_random(self, xs):
+        # The back-substitution stops each column at its own row; on a poset
+        # that is not a lattice the rows above must still come out right.
+        p = build_poset(xs)
+        assume(not p.gcd_closed)
+        m = mobius_via_zeta_inverse(p).values
+        assert m == mobius_recursive(p).values
+        for j in range(p.n):
+            for i in range(p.n):
+                acc = sum(m[k][i] for k in range(p.n) if p.elements[k] % p.elements[j] == 0)
+                assert acc == (1 if i == j else 0)
 
 
 class TestClosedForm:
