@@ -8,7 +8,9 @@ diagram), search (max positive eigenvalue count over universes), closure
 Exit codes: 0 success; 1 usage, parse, or parameter errors, or a stdout
 closed before the output was written (no traceback); 2 when the input set is
 not gcd closed and --close was not given; 3 when two independent routes to
-the same result disagreed (a fault in the program, not the input).
+the same result disagreed (a fault in the program, not the input).  Up to
+--cap elements, or with --verify, pivot k of one exact elimination of the LCM
+matrix must be x_k * w_k (w_k = x_k * Psi_k); else psi's Mobius sum checks w_k.
 
 JSON output serializes every set element and every rational as a string
 ("30", "-4/15") so arbitrary precision survives; structural counts stay JSON
@@ -33,8 +35,8 @@ from .families import _MAX_UNIVERSE_DIVISORS, DEFAULT_SEARCH_UNIVERSES, BadParam
     classical_set, cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
-from .matrices import NotGcdClosedError, VerificationError, lcm_congruence_oracle, psi, \
-    structural_inertia
+from .matrices import NotGcdClosedError, VerificationError, _psi_by_recursion, \
+    lcm_congruence_oracle, psi, structural_inertia
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
 
 DEFAULT_VERIFY_CAP = 64
@@ -75,7 +77,8 @@ def _read_elements(ns: argparse.Namespace) -> list[int]:
 
 def _build_report(p: DivisorPoset, original: Sequence[int],
                   closure_applied: bool, verify: bool, cap: int) -> dict:
-    psis = psi(p)
+    oracle = verify or p.n <= cap
+    psis = _psi_by_recursion(p) if oracle else psi(p)
     per_element = []
     for i in range(p.n):
         try:
@@ -110,10 +113,12 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
     if inertia is None:
         inertia, method = signs, "psi"
     _verify(inertia == signs, "structural inertia disagreed with sign counts")
-    if verify or p.n <= cap:
-        oracle_inertia, oracle_det = lcm_congruence_oracle(p)
+    if oracle:
+        oracle_inertia, oracle_det, pivots = lcm_congruence_oracle(p)
         _verify(oracle_inertia == inertia, "inertia oracle disagreed with sign counts")
         _verify(oracle_det == det, "determinant oracle disagreed with the product formula")
+        for x, v, pivot in zip(p.elements, psis, pivots):
+            _verify(pivot == x * x * v, f"an oracle pivot disagreed with the weight at {x}")
         method = "oracle-verified"
 
     return {

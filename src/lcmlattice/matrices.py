@@ -173,23 +173,27 @@ def power_lcm_matrix(p: DivisorPoset, alpha: int) -> ExactMatrix:
 
 
 def psi(p: DivisorPoset) -> PsiVector:
-    """Exact Psi values, from the integers w_i = x_i * Psi_i by the recursion
-    over strict divisors that the search also runs.
-
-    Each w_i is checked against the equivalent Mobius sum, in integers:
-    sum of mu(x_j, x_i) * (x_i / x_j) over the divisors x_j of x_i;
-    VerificationError if the two disagree.
-    """
-    _require_gcd_closed(p)
+    """Exact Psi values by _psi_by_recursion, each w_i = x_i * Psi_i checked
+    against the equivalent Mobius sum, in integers: sum of mu(x_j, x_i) *
+    (x_i / x_j) over the divisors x_j of x_i; VerificationError if the two
+    disagree."""
+    psis = _psi_by_recursion(p)
     els = p.elements
     mu = mobius_recursive(p)
+    for i, x in enumerate(els):
+        _verify(sum(mu[j, i] * (x // els[j]) for j in _bits(p._down[i])) == x * psis[i],
+                f"the two Psi definitions disagreed at {x}")
+    return psis
+
+
+def _psi_by_recursion(p: DivisorPoset) -> PsiVector:
+    """Exact Psi values from the integers w_i = x_i * Psi_i, by the recursion
+    over strict divisors that the search also runs; no check."""
+    _require_gcd_closed(p)
+    els = p.elements
     ws: list[int] = []
     for i, x in enumerate(els):
-        strict = p._down[i] & ~(1 << i)
-        w = _w_by_recursion(x, ((els[j], ws[j]) for j in _bits(strict)))
-        _verify(sum(mu[j, i] * (x // els[j]) for j in _bits(p._down[i])) == w,
-                f"the two Psi definitions disagreed at {x}")
-        ws.append(w)
+        ws.append(_w_by_recursion(x, ((els[j], ws[j]) for j in _bits(p._down[i] & ~(1 << i)))))
     return PsiVector(p, tuple(Fraction(w, x) for w, x in zip(ws, els)))
 
 
@@ -358,11 +362,12 @@ def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
     return inertia, Fraction(det)
 
 
-def lcm_congruence_oracle(p: DivisorPoset) -> tuple[InertiaTriple, int]:
-    """congruence_oracle(lcm_matrix(p)), built as the n(n+1)/2 lcms of the
-    upper triangle in plain ints: the inertia and the integer determinant."""
+def lcm_congruence_oracle(p: DivisorPoset) -> tuple[InertiaTriple, int, list[int]]:
+    """congruence_oracle(lcm_matrix(p)) on the n(n+1)/2 upper lcms as plain
+    ints: the inertia, the integer determinant and the pivots a[k][0]."""
     els = p.elements
-    return _upper_congruence([[math.lcm(x, y) for y in els[i:]] for i, x in enumerate(els)])
+    a = [[math.lcm(x, y) for y in els[i:]] for i, x in enumerate(els)]
+    return *_upper_congruence(a), [row[0] for row in a]
 
 
 def _upper_congruence(a: list[list[int | Fraction]]) -> tuple[InertiaTriple, int | Fraction]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .doublechain import decompose_chains
-from .lattice import DivisorPoset, _verify
+from .lattice import DivisorPoset, _bits, _verify
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,14 @@ def mobius_via_zeta_inverse(p: DivisorPoset) -> MoebiusTable:
     """Oracle route: exact integer inverse of the zeta (divisibility) matrix.
 
     The zeta matrix is unitriangular in the ascending element order, so back
-    substitution inverts it exactly over the integers.  Row j runs over its
-    nonzero entries, the k > j with x_j | x_k, and column i over rows up to i.
+    substitution inverts it exactly over the integers.  Row j runs over the
+    k > j with x_j | x_k, and column i down over the j with x_j | x_i.
     """
     n = p.n
     above = [[k for k in range(j + 1, n) if p.leq(j, k)] for j in range(n)]
     inv = [[0] * n for _ in range(n)]
     for col in range(n):
-        for row in range(col, -1, -1):
+        for row in reversed(list(_bits(p._down[col]))):
             inv[row][col] = (row == col) - sum(inv[k][col] for k in above[row])
     return MoebiusTable(p, tuple(tuple(row) for row in inv))
 

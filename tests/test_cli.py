@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import lcmlattice
 from lcmlattice import InertiaTriple, build_poset, cli, decompose_chains, \
     determinant_via_psi, divisors, doublechain, families, gcd_closure, \
-    generates_double_chain, inertia_from_psi, psi, structural_inertia
+    generates_double_chain, inertia_from_psi, matrices, moebius, psi, structural_inertia
 
 CUBE = ["1", "2", "3", "5", "6", "10", "15", "30"]
 
@@ -128,8 +128,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("oracle, wrong", [
         # One elimination gives both results; each half is named by the
         # oracle that computes it alone.
-        ("determinant_exact", lambda triple, det: (triple, Fraction(0))),
-        ("inertia_charpoly_oracle", lambda triple, det: (InertiaTriple(0, 0, 0), det)),
+        ("determinant_exact", lambda triple, det, pivots: (triple, Fraction(0), pivots)),
+        ("inertia_charpoly_oracle",
+         lambda triple, det, pivots: (InertiaTriple(0, 0, 0), det, pivots)),
     ])
     def test_oracle_disagreement_exits_three(self, capsys, monkeypatch, oracle, wrong):
         real = cli.lcm_congruence_oracle
@@ -138,6 +139,23 @@ class TestAnalyze:
         assert code == 3 and out == ""
         check = oracle.split("_")[0]
         assert err.startswith(f"error: verification failed: {check} oracle")
+
+    @pytest.mark.parametrize("flags, calls", [([], 0), (["--verify"], 0), (["--cap", "0"], 1)])
+    def test_moebius_table_only_where_no_oracle_runs(self, capsys, monkeypatch, flags, calls):
+        # The oracle's pivots check every weight, so a report at or below the
+        # cap builds no Mobius table; with --cap 0, psi builds one to check them.
+        real, seen = moebius.mobius_recursive, []
+
+        def spy(p):
+            seen.append(p)
+            return real(p)
+
+        for module in (matrices, moebius, cli):
+            monkeypatch.setattr(module, "mobius_recursive", spy)
+        code, _, _ = run_cli(["family", "grid", "--p", "2", "--q", "3", "--m", "8",
+                              "--json", *flags], capsys)
+        assert code == 0
+        assert len(seen) == calls
 
     def test_structural_inertia_is_checked_above_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "structural_inertia", lambda p: InertiaTriple(8, 0, 0))
@@ -512,13 +530,38 @@ def test_verification_survives_optimized_mode():
     src = Path(lcmlattice.__file__).parents[1]
     script = ("import sys\n"
               "from lcmlattice import InertiaTriple, cli\n"
-              "cli.lcm_congruence_oracle = lambda p: (InertiaTriple(1, 2, 0), 0)\n"
+              "cli.lcm_congruence_oracle = lambda p: (InertiaTriple(1, 2, 0), 0, [1, -2, -12])\n"
               "sys.exit(cli.main(['analyze', '1', '2', '6']))\n")
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: verification failed: determinant oracle")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_swapped_pivots_exit_three(flags):
+    # The cube's second and third pivots, -2 and -6, have the same sign, so the
+    # swap keeps the oracle's inertia and determinant; only the pivot check
+    # sees it.
+    pivots = cli.lcm_congruence_oracle(build_poset([int(x) for x in CUBE]))[2]
+    assert pivots[1] != pivots[2] and (pivots[1] > 0) == (pivots[2] > 0)
+    src = Path(lcmlattice.__file__).parents[1]
+    script = ("import sys\n"
+              "from lcmlattice import cli\n"
+              "real = cli.lcm_congruence_oracle\n"
+              "def swapped(p):\n"
+              "    inertia, det, pivots = real(p)\n"
+              "    pivots[1], pivots[2] = pivots[2], pivots[1]\n"
+              "    return inertia, det, pivots\n"
+              "cli.lcm_congruence_oracle = swapped\n"
+              f"sys.exit(cli.main(['analyze', *{CUBE!r}]))\n")
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error: verification failed: "
+                           "an oracle pivot disagreed with the weight at 2\n")
 
 
 def test_text_and_json_numbers_agree(capsys):
