@@ -27,7 +27,7 @@ import sys
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
@@ -108,7 +108,7 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
 
     det = psis.determinant()
     signs = psis.inertia()
-    inertia = structural_inertia(p)
+    inertia = structural_inertia(p, [rec["generates_double_chain"] for rec in per_element])
     method = "structural"
     if inertia is None:
         inertia, method = signs, "psi"
@@ -332,6 +332,7 @@ def _add_report_arguments(sub: argparse.ArgumentParser) -> None:
                      help="auto-verify with the oracle up to this size (default 64)")
 
 
+@cache  # built once per process, on first use; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lcmlattice",
                      description="Exact divisibility-order analysis of integer sets "

@@ -199,10 +199,10 @@ def is_r_fold_gcd_closed(p: DivisorPoset, r: int) -> bool:
     """True when x_0 | x_1 | ... | x_r and the rest, from x_r on, is gcd
     closed: the r smallest elements form a divisor chain below a gcd-closed
     rest, and r = 0 is plain gcd closedness.  BadFoldCountError for r
-    outside 0..n-1."""
+    outside 0..n-1.  O(1): the poset computes the length of its bottom
+    divisor chain and the suffix minima of its lowest meets once."""
     n = p.n
     if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= n - 1:
         raise BadFoldCountError(f"fold count must be an integer in 0..{n - 1}, got {r!r}")
-    els, low = p.elements, p._low_meet
-    return (all(b % a == 0 for a, b in zip(els[:r], els[1:r + 1]))
-            and min(low[r:]) >= r)
+    chain, low = p._fold_bounds
+    return r <= chain and low[r] >= r

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import accumulate, repeat
 
 
 class EmptyInputError(ValueError):
@@ -131,6 +131,12 @@ class DivisorPoset:
     @cached_property
     def gcd_closed(self) -> bool:
         return -1 not in self._low_meet
+
+    @cached_property
+    def _fold_bounds(self) -> tuple[int, tuple[int, ...]]:
+        """The largest m with x_0 | x_1 | ... | x_m, and each min(_low_meet[r:])."""
+        m = next((k for k in range(self.n - 1) if not self._down[k + 1] >> k & 1), self.n - 1)
+        return m, tuple(accumulate(reversed(self._low_meet), min))[::-1]
 
     def __repr__(self) -> str:
         return f"DivisorPoset({list(self.elements)})"

@@ -242,16 +242,17 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
 
 def _eliminate_symmetric(a: list[list[int | Fraction]]) -> tuple[int, int, int, int | Fraction]:
     """Exact elimination of a symmetric rational matrix given by its upper
-    rows, a[k] = row k from its diagonal on: (plus, minus, zero, det).
-    Destructive: a[k] becomes row k of the block left before step k, after
-    any congruence step.
+    rows, a[k] = row k from its diagonal on, as a list: (plus, minus, zero,
+    det).  Destructive: a[k] becomes row k of the block left before step k,
+    after any congruence step.
 
     Pivot k is the diagonal entry, with no scale factor: the block left is
     the Schur complement, so each pivot adds an eigenvalue of its sign
     (Sylvester's law of inertia) and det is the product of the pivots.  Row i
     with lead a_ki != 0 becomes a_ic - q * a_kc for c >= i, q = a_ki / pivot:
     lead // pivot where the pivot divides the lead, so int rows stay ints,
-    else a Fraction.  An all-zero row adds a zero eigenvalue and is dropped.
+    else a Fraction, in place and only where a_kc != 0, listed once per
+    pivot.  An all-zero row adds a zero eigenvalue and is dropped.
     A zero pivot on a nonzero row, whose first nonzero entry is a_kj, first
     adds t times row j and column j to row k and column k, a congruence of
     determinant 1: the pivot becomes 2 t a_kj + a_jj, with t = 1 unless that
@@ -270,8 +271,7 @@ def _eliminate_symmetric(a: list[list[int | Fraction]]) -> tuple[int, int, int, 
     plus, minus, zero, det = 0, 0, 0, 1
     for k, row_k in enumerate(a):
         if not any(row_k):
-            zero += 1
-            det = 0
+            zero, det = zero + 1, 0
             continue
         if not row_k[0]:
             d = next(d for d, v in enumerate(row_k) if v)
@@ -281,10 +281,12 @@ def _eliminate_symmetric(a: list[list[int | Fraction]]) -> tuple[int, int, int, 
                             *(t * a[c][j - c] for c in range(k + 1, j)),
                             *(x + t * y for x, y in zip(row_k[d:], a[j]))]
         pivot = row_k[0]
-        for i, lead in enumerate(row_k[1:], k + 1):
-            if lead:
-                q = lead // pivot if not lead % pivot else Fraction(lead, pivot)
-                a[i] = [x - q * y for x, y in zip(a[i], row_k[i - k:])]
+        nonzero = [(d, v) for d, v in enumerate(row_k) if v]
+        for s, (d, lead) in enumerate(nonzero[1:], 1):
+            q = lead // pivot if not lead % pivot else Fraction(lead, pivot)
+            row_i = a[k + d]
+            for e, y in nonzero[s:]:
+                row_i[e - d] -= q * y
         plus += pivot > 0
         minus += pivot < 0
         det *= pivot
@@ -337,13 +339,16 @@ def inertia_from_psi(p: DivisorPoset) -> InertiaTriple:
     return psi(p).inertia()
 
 
-def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
+def structural_inertia(p: DivisorPoset, generators: Iterable[bool] | None = None
+                       ) -> InertiaTriple | None:
     """Inertia with no rational arithmetic, when every element generates a
     double chain: elements covering exactly one member count negative, the
     rest positive, and the matrix is nonsingular.  None when some element
-    does not generate a double chain."""
+    does not generate a double chain: generators holds that decision for
+    each element in index order, or, if None, each is decided here."""
     _require_gcd_closed(p)
-    if not all(generates_double_chain(p, i) for i in range(p.n)):
+    if not all(generators if generators is not None
+               else (generates_double_chain(p, i) for i in range(p.n))):
         return None
     minus = sum(1 for i in range(p.n) if len(p.covered(i)) == 1)
     return InertiaTriple(p.n - minus, minus, 0)
@@ -358,7 +363,7 @@ def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
         raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    inertia, det = _upper_congruence([row[i:] for i, row in enumerate(m.entries)])
+    inertia, det = _upper_congruence([list(row[i:]) for i, row in enumerate(m.entries)])
     return inertia, Fraction(det)
 
 

@@ -53,7 +53,10 @@ def mobius_via_zeta_inverse(p: DivisorPoset) -> MoebiusTable:
     k > j with x_j | x_k, and column i down over the j with x_j | x_i.
     """
     n = p.n
-    above = [[k for k in range(j + 1, n) if p.leq(j, k)] for j in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for k in range(n):
+        for j in _bits(p._down[k] & ~(1 << k)):
+            above[j].append(k)
     inv = [[0] * n for _ in range(n)]
     for col in range(n):
         for row in reversed(list(_bits(p._down[col]))):

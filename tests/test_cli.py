@@ -158,7 +158,8 @@ class TestAnalyze:
         assert len(seen) == calls
 
     def test_structural_inertia_is_checked_above_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "structural_inertia", lambda p: InertiaTriple(8, 0, 0))
+        monkeypatch.setattr(cli, "structural_inertia",
+                            lambda p, generators: InertiaTriple(8, 0, 0))
         code, out, err = run_cli(["analyze", "--json", "--cap", "0", *CUBE], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: verification failed: structural inertia")
@@ -174,9 +175,9 @@ class TestAnalyze:
         monkeypatch.setattr(doublechain, "meet_closure", counting)
         code, _, _ = run_cli(["analyze", "--json", *CUBE], capsys)
         assert code == 0
-        # One per element for the report's decomposition, and one per element
-        # for structural_inertia, which decides elements on its own.
-        assert len(calls) == 16
+        # One per element for the report's decomposition; structural_inertia
+        # reads the decisions of that one split, so both routes share it.
+        assert len(calls) == 8
 
     @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
                         reason="this Python runs with no int <-> str digit limit")
@@ -491,6 +492,25 @@ class TestSearch:
         code, out, err = run_cli(["search", "--n", "4"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: verification failed: the two Psi routes")
+
+
+def test_repeated_calls_print_what_a_first_call_prints(capsys):
+    # The parser is built once per process; parse_args must keep nothing from
+    # one call to the next, also after a usage error or --help exits.
+    commands = [["analyze", "--json", *CUBE],
+                ["search", "--json", "--n", "4", "--universe", "210"],
+                ["mobius", "--json", "--method", "zeta", "1", "2", "3", "6"],
+                ["closure", "--json", "6", "10", "15"]]
+    cli._build_parser.cache_clear()
+    first = [run_cli(c, capsys) for c in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]
+    for interruption, want in [(["analyze", "--bogus"], 1), (["--help"], 0)]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(interruption)
+        assert exc.value.code == want
+        capsys.readouterr()
+        assert [run_cli(c, capsys) for c in commands] == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_console_script_entry_point():

@@ -6,7 +6,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmlattice import (
@@ -347,6 +347,18 @@ class TestRFold:
                 if not f:
                     dropped = True
                 assert not (dropped and f)
+
+    @given(_SETS)
+    @example([6, 10, 15])  # not gcd closed: _low_meet holds -1
+    @example([1, 2, 4, 8, 9, 12])
+    @settings(max_examples=300, deadline=None)
+    def test_each_fold_matches_the_linear_scan(self, xs):
+        # The scan that each call made before the poset kept its fold bounds.
+        p = build_poset(xs)
+        els, low = p.elements, p._low_meet
+        assert [is_r_fold_gcd_closed(p, r) for r in range(p.n)] == [
+            all(b % a == 0 for a, b in zip(els[:r], els[1:r + 1])) and min(low[r:]) >= r
+            for r in range(p.n)]
 
     def test_bad_fold_counts(self):
         p = build_poset([1, 2, 4])

@@ -176,6 +176,20 @@ def sparse_int_matrices(draw) -> list[list[int]]:
     return a
 
 
+@st.composite
+def interleaved_matrices(draw) -> list[list[int | F]]:
+    """Symmetric matrices of order up to 8 whose entry (i, j) is 0 where
+    i + j is odd: each pivot row holds zeros between its nonzero entries.
+    The rest are ints or Fractions, 0 included, so a diagonal entry may be 0."""
+    n = draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-4, 4), st.integers(1, 6)))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i % 2, i + 1, 2):
+            a[i][j] = a[j][i] = draw(entry)
+    return a
+
+
 def frozen_cube_psi() -> list[list[F]]:
     return [
         [F(1), F(-1, 2), F(-2, 3), F(-4, 5), F(1, 3), F(2, 5), F(8, 15), F(-4, 15)],
@@ -502,6 +516,14 @@ class TestCharpolyOracle:
                          for i in range(4)])
         assert inertia_charpoly_oracle(m).as_tuple() == (1, 1, 2)
 
+    def test_leaves_the_matrix_unchanged(self):
+        # The elimination updates its rows in place, so it is given copies.
+        a = [[0, 1, 2, 0], [1, 3, 0, F(1, 2)], [2, 0, 5, 1], [0, F(1, 2), 1, 0]]
+        m = ExactMatrix(a)
+        entries = m.entries
+        assert congruence_oracle(m) == congruence_oracle(m)
+        assert m.entries is entries and m == ExactMatrix(a)
+
     def test_singular_second_cube(self):
         m = lcm_matrix(cube_instances()[1])
         assert inertia_charpoly_oracle(m).as_tuple() == (4, 3, 1)
@@ -675,6 +697,16 @@ class TestExactElimination:
     def test_random_closures_never_hand_off(self, p):
         self.assert_pivots_are_weights(p)
 
+    @settings(max_examples=300, deadline=None)
+    @given(interleaved_matrices())
+    def test_interleaved_zeros_match_sympy(self, a):
+        # Scaling by the lcm of the denominators keeps the inertia.
+        scale = math.lcm(*(F(v).denominator for row in a for v in row))
+        want = (*charpoly_inertia([[int(v * scale) for v in row] for row in a]),
+                sympy.Matrix(a).det())
+        assert matrices._eliminate_symmetric(upper_rows(a)) == want
+        assert congruence_oracle(ExactMatrix(a)) == (InertiaTriple(*want[:3]), want[3])
+
     @pytest.mark.parametrize("a, pivots", [
         # A Fraction first step: 2 does not divide the 1 in its row.
         ([[2, 1], [1, 2]], [2, F(3, 2)]),
@@ -689,8 +721,13 @@ class TestExactElimination:
         # 2 * 1 + (-2) = 0, so the congruence step takes t = -1: pivot
         # -2 * 1 + (-2) = -4.
         ([[0, 1], [1, -2]], [-4, F(1, 4)]),
+        # Zeros between the nonzero entries of each pivot row: a congruence
+        # step with row 2 makes row 0 [5, 0, 4, 0, 5], whose lead 4 takes a
+        # Fraction step and whose lead 5 an int step.
+        ([[0, 0, 1, 0, 3], [0, 2, 0, 1, 0], [1, 0, 3, 0, 2], [0, 1, 0, 0, 5],
+          [3, 0, 2, 5, 1]], [5, 2, F(-1, 5), F(-1, 2), 66]),
     ], ids=["inexact-first", "perturbed-lcm", "zero-pivot-nonzero-row",
-            "pivot-not-dividing-its-row", "congruence-t-minus-one"])
+            "pivot-not-dividing-its-row", "congruence-t-minus-one", "interleaved-zeros"])
     def test_hand_off_block_left(self, a, pivots):
         upper = upper_rows(a)
         got = matrices._eliminate_symmetric(upper)
