@@ -8,19 +8,18 @@ diagram), search (max positive eigenvalue count over universes), closure
 Exit codes: 0 success; 1 usage, parse, or parameter errors, or a stdout
 closed before the output was written (no traceback); 2 when the input set is
 not gcd closed and --close was not given; 3 when two independent routes to
-the same result disagreed (a fault in the program, not the input).  Up to
---cap elements, or with --verify, pivot k of one exact elimination of the LCM
-matrix must be x_k * w_k (w_k = x_k * Psi_k); else psi's Mobius sum checks w_k.
+the same result disagreed (a fault in the program, not the input).  A report
+keeps each weight w_k = x_k * Psi_k an int and makes Psi_k only to print it.
+Up to --cap elements, or with --verify, pivot k of one exact elimination of
+the LCM matrix must be x_k * w_k; else psi's Mobius sum checks w_k.
 
-JSON output serializes every set element and every rational as a string
-("30", "-4/15") so arbitrary precision survives; structural counts stay JSON
-numbers.
+JSON output has json.dumps(indent=2)'s layout, from one writer; elements and
+rationals are strings ("30", "-4/15") for any precision, counts are numbers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,6 +27,7 @@ from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _quote  # C, where _json is built
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
@@ -35,16 +35,36 @@ from .families import _MAX_UNIVERSE_DIVISORS, DEFAULT_SEARCH_UNIVERSES, BadParam
     classical_set, cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
     search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
-from .matrices import NotGcdClosedError, VerificationError, _psi_by_recursion, \
+from .matrices import InertiaTriple, NotGcdClosedError, VerificationError, _weights, \
     lcm_congruence_oracle, psi, structural_inertia
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
 
 DEFAULT_VERIFY_CAP = 64
 
 
-def _frac(f: Fraction) -> str:
+def _frac(f: Fraction | int) -> str:
     # Decimal prints an int of any length; str(int) stops at CPython's 4300-digit limit.
     return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for str keys, str, int, bool, None, list and
+    dict, strings escaped in C (any indent sends json.dumps to its Python
+    encoder); TypeError for any other type, or a key that is not a str."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        items, ends = [_dumps(v, inner) for v in obj], "[]"
+    elif isinstance(obj, dict):  # _quote raises the TypeError for a key
+        items, ends = [_quote(k) + ": " + _dumps(v, inner) for k, v in obj.items()], "{}"
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def _read_elements(ns: argparse.Namespace) -> list[int]:
@@ -78,15 +98,16 @@ def _read_elements(ns: argparse.Namespace) -> list[int]:
 def _build_report(p: DivisorPoset, original: Sequence[int],
                   closure_applied: bool, verify: bool, cap: int) -> dict:
     oracle = verify or p.n <= cap
-    psis = _psi_by_recursion(p) if oracle else psi(p)
+    els = p.elements
+    ws = _weights(p) if oracle else [int(x * v) for x, v in zip(els, psi(p))]
     per_element = []
-    for i in range(p.n):
+    for i, (x, w) in enumerate(zip(els, ws)):
         try:
             dec = decompose_chains(p, i)
         except NotDoubleChainGeneratorError:
             dec = None
         rec: dict = {
-            "value": str(p.elements[i]),
+            "value": str(x),
             "covers": [str(p.elements[j]) for j in p.covered(i)],
             "generates_double_chain": dec is not None,
         }
@@ -101,13 +122,13 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
             rec["chain_a"] = rec["chain_b"] = rec["eta"] = None
             rec["doubly_attached"] = None
             rec["mobius_source"] = "recursive"
-        v = psis[i]
-        rec["psi"] = _frac(v)
-        rec["psi_sign"] = "positive" if v > 0 else ("negative" if v < 0 else "zero")
+        rec["psi"] = _frac(Fraction(w, x))
+        rec["psi_sign"] = "positive" if w > 0 else ("negative" if w < 0 else "zero")
         per_element.append(rec)
 
-    det = psis.determinant()
-    signs = psis.inertia()
+    det = math.prod(ws) * math.prod(els)  # prod(Psi) * prod(x)^2, with w = x * Psi
+    plus, minus = sum(w > 0 for w in ws), sum(w < 0 for w in ws)
+    signs = InertiaTriple(plus, minus, p.n - plus - minus)
     inertia = structural_inertia(p, [rec["generates_double_chain"] for rec in per_element])
     method = "structural"
     if inertia is None:
@@ -117,15 +138,15 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         oracle_inertia, oracle_det, pivots = lcm_congruence_oracle(p)
         _verify(oracle_inertia == inertia, "inertia oracle disagreed with sign counts")
         _verify(oracle_det == det, "determinant oracle disagreed with the product formula")
-        for x, v, pivot in zip(p.elements, psis, pivots):
-            _verify(pivot == x * x * v, f"an oracle pivot disagreed with the weight at {x}")
+        for x, w, pivot in zip(els, ws, pivots):
+            _verify(pivot == x * w, f"an oracle pivot disagreed with the weight at {x}")
         method = "oracle-verified"
 
     return {
         "input": [str(x) for x in sorted(set(original))],
         "gcd_closed_input": not closure_applied,
         "closure_applied": closure_applied,
-        "elements": [str(x) for x in p.elements],
+        "elements": [str(x) for x in els],
         "n": p.n,
         "per_element": per_element,
         "determinant": _frac(det),
@@ -174,7 +195,7 @@ def _emit_report(p: DivisorPoset, original: Sequence[int], closure_applied: bool
                  ns: argparse.Namespace) -> int:
     rep = _build_report(p, original, closure_applied, verify=ns.verify, cap=ns.cap)
     if ns.json:
-        print(json.dumps(rep, indent=2))
+        print(_dumps(rep))
     else:
         print(_render_text(rep))
     return 0
@@ -240,9 +261,8 @@ def _cmd_mobius(ns: argparse.Namespace) -> int:
     if i is not None:
         col = column(i)
         if ns.json:
-            print(json.dumps({"element": str(ns.column), "method": ns.method,
-                              "column": {str(p.elements[j]): col[j]
-                                         for j in range(p.n)}}, indent=2))
+            print(_dumps({"element": str(ns.column), "method": ns.method,
+                          "column": {str(p.elements[j]): col[j] for j in range(p.n)}}))
         else:
             for j in range(p.n):
                 print(f"mu({p.elements[j]}, {ns.column}) = {col[j]}")
@@ -251,8 +271,8 @@ def _cmd_mobius(ns: argparse.Namespace) -> int:
     columns = [column(k) for k in range(p.n)]
     table = [[col[j] for col in columns] for j in range(p.n)]
     if ns.json:
-        print(json.dumps({"elements": [str(x) for x in p.elements],
-                          "method": ns.method, "table": table}, indent=2))
+        print(_dumps({"elements": [str(x) for x in p.elements],
+                      "method": ns.method, "table": table}))
     else:
         w = max(len(str(x)) for x in p.elements) + 1
         w = max(w, max(len(str(v)) + 1 for row in table for v in row))
@@ -272,8 +292,8 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
     xs = _read_elements(ns)
     closed = gcd_closure(xs)
     if ns.json:
-        print(json.dumps({"input": [str(x) for x in sorted(set(xs))],
-                          "closure": [str(x) for x in closed]}, indent=2))
+        print(_dumps({"input": [str(x) for x in sorted(set(xs))],
+                      "closure": [str(x) for x in closed]}))
     else:
         print(" ".join(str(x) for x in closed))
     return 0
@@ -298,13 +318,13 @@ def _cmd_search(ns: argparse.Namespace) -> int:
         universes = DEFAULT_SEARCH_UNIVERSES
     res = search_max_iplus(ns.n, universes)
     if ns.json:
-        print(json.dumps({
+        print(_dumps({
             "n": res.n,
             "universes": [str(u) for u in res.universes],
             "max_iplus": res.max_iplus,
             "lower_bound": True,
             "witness": [str(x) for x in res.witness.elements],
-        }, indent=2))
+        }))
     else:
         print(f"size {res.n}: max positive eigenvalue count found = {res.max_iplus}"
               f" (lower bound); witness: {' '.join(str(x) for x in res.witness.elements)};"

@@ -158,9 +158,7 @@ class SubPoset:
         for m in self.members:
             if not 0 <= m < parent.n:
                 raise ValueError(f"index {m} outside parent poset")
-        self._mask = mask = sum(1 << m for m in self.members)
-        self._covered = {m: _covers(parent._down[m] & mask & ~(1 << m), parent._down)
-                         for m in self.members}
+        self._mask = sum(1 << m for m in self.members)
 
     @property
     def size(self) -> int:
@@ -173,8 +171,10 @@ class SubPoset:
         return self.parent.leq(j, i)
 
     def covered(self, i: int) -> tuple[int, ...]:
-        """Indices covered by member i inside this sub-poset."""
-        return self._covered[i]
+        """Indices covered by member i inside this sub-poset; KeyError if none."""
+        if i not in self.members:
+            raise KeyError(i)
+        return _covers(self.parent._down[i] & self._mask & ~(1 << i), self.parent._down)
 
     def __repr__(self) -> str:
         return f"SubPoset(values={list(self.values())})"

@@ -173,28 +173,28 @@ def power_lcm_matrix(p: DivisorPoset, alpha: int) -> ExactMatrix:
 
 
 def psi(p: DivisorPoset) -> PsiVector:
-    """Exact Psi values by _psi_by_recursion, each w_i = x_i * Psi_i checked
-    against the equivalent Mobius sum, in integers: sum of mu(x_j, x_i) *
-    (x_i / x_j) over the divisors x_j of x_i; VerificationError if the two
-    disagree."""
-    psis = _psi_by_recursion(p)
+    """Exact Psi values w_i / x_i, the integers w_i = x_i * Psi_i of _weights
+    each checked against the equivalent Mobius sum, in integers: sum of
+    mu(x_j, x_i) * (x_i / x_j) over the divisors x_j of x_i;
+    VerificationError if the two disagree."""
+    ws = _weights(p)
     els = p.elements
     mu = mobius_recursive(p)
-    for i, x in enumerate(els):
-        _verify(sum(mu[j, i] * (x // els[j]) for j in _bits(p._down[i])) == x * psis[i],
+    for i, (x, w) in enumerate(zip(els, ws)):
+        _verify(sum(mu[j, i] * (x // els[j]) for j in _bits(p._down[i])) == w,
                 f"the two Psi definitions disagreed at {x}")
-    return psis
+    return PsiVector(p, tuple(map(Fraction, ws, els)))
 
 
-def _psi_by_recursion(p: DivisorPoset) -> PsiVector:
-    """Exact Psi values from the integers w_i = x_i * Psi_i, by the recursion
-    over strict divisors that the search also runs; no check."""
+def _weights(p: DivisorPoset) -> list[int]:
+    """The integers w_i = x_i * Psi_i, by the recursion over strict divisors
+    that the search also runs; no check."""
     _require_gcd_closed(p)
     els = p.elements
     ws: list[int] = []
     for i, x in enumerate(els):
         ws.append(_w_by_recursion(x, ((els[j], ws[j]) for j in _bits(p._down[i] & ~(1 << i)))))
-    return PsiVector(p, tuple(Fraction(w, x) for w, x in zip(ws, els)))
+    return ws
 
 
 def _w_by_recursion(x: int, divisor_ws: Iterable[tuple[int, int]]) -> int:

@@ -12,11 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lcmlattice
-from lcmlattice import InertiaTriple, build_poset, cli, decompose_chains, \
+from lcmlattice import InertiaTriple, build_poset, cli, cube_instances, decompose_chains, \
     determinant_via_psi, divisors, doublechain, families, gcd_closure, \
     generates_double_chain, inertia_from_psi, matrices, moebius, psi, structural_inertia
 
@@ -642,3 +642,86 @@ def test_report_equals_library(xs):
             else:
                 assert rec["chain_a"] is None and rec["chain_b"] is None
                 assert rec["eta"] is None and rec["doubly_attached"] is None
+
+
+class TestIntegerWeights:
+    """The report keeps the weights w = x * Psi as ints and forms Psi only to print it."""
+
+    def test_psi_strings_and_signs_are_the_weights_over_the_elements(self, corpus):
+        for _, p in corpus:
+            ws = matrices._weights(p)
+            values = psi(p)
+            for flags in ([], ["--cap", "0"]):
+                rep = _json_report([*flags, *map(str, p.elements)])
+                for x, w, v, rec in zip(p.elements, ws, values, rep["per_element"]):
+                    assert Fraction(w, x) == v
+                    assert rec["psi"] == _frac(Fraction(w, x))
+                    assert rec["psi_sign"] == ("positive" if w > 0 else
+                                               "negative" if w < 0 else "zero")
+        cube_2 = _json_report(map(str, cube_instances()[1].elements))
+        assert cube_2["per_element"][-1]["psi"] == "0/1"
+        assert cube_2["per_element"][-1]["psi_sign"] == "zero"
+        assert cube_2["determinant"] == "0/1"
+
+    @pytest.mark.parametrize("flags, failure", [
+        ([], "an oracle pivot disagreed with the weight at 66"),
+        (["--cap", "0"], "the two Psi definitions disagreed at 66"),
+    ])
+    def test_a_weight_off_by_one_exits_three(self, capsys, monkeypatch, flags, failure):
+        # Cube 2's top weighs 0, so raising the weight 12 of 66 by one keeps
+        # the determinant at 0 and every sign: at the cap only the oracle's
+        # pivots see it, with --cap 0 only psi's Mobius sum.
+        real = matrices._weights
+
+        def off_by_one(p):
+            ws = real(p)
+            ws[p.index(66)] += 1
+            return ws
+
+        for module in (cli, matrices):
+            monkeypatch.setattr(module, "_weights", off_by_one)
+        xs = [str(x) for x in cube_instances()[1].elements]
+        code, out, err = run_cli(["analyze", *flags, *xs], capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: verification failed: {failure}\n"
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", "\"", "\\", "\x00\x1f\x7f", "\u00e9", "\u2028", "\U0001f600", "a\"b\\c\n\t"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    """cli._dumps writes what json.dumps(obj, indent=2) writes, for what the CLI prints."""
+
+    @given(_JSON_VALUES)
+    @example([[], {}, {"a": []}, [{}], ""])
+    @example([True, 1, False, 0, None, -1, 2 ** 100, -(2 ** 100)])
+    @example({"\"": "\\", "\x00": "\u00e9\U0001f600", "": {"": [[]]}})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_indent_2(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [1.5, (1, 2), {1}, {1: "a"}, {None: 1}, ["a", {"b": 0.0}]],
+                             ids=["float", "tuple", "set", "int key", "None key", "nested"])
+    def test_any_other_type_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--json", *CUBE],
+        ["analyze", "--json", "--cap", "0", "--close", "1", "2", "15", "42"],
+        ["family", "cube", "--index", "2", "--json"],
+        ["mobius", "--json", *map(str, divisors(36))],
+        ["mobius", "--json", "--column", "12", *map(str, divisors(36))],
+        ["closure", "--json", "6", "10", "15"],
+        ["search", "--json", "--n", "6", "--universe", "2310"],
+    ], ids=["analyze", "analyze-close-cap-0", "family", "mobius", "mobius-column", "closure",
+            "search"])
+    def test_every_json_command_prints_json_dumps_indent_2(self, capsys, args):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -275,6 +275,13 @@ class TestSubPoset:
         # With 2 and 4 removed, 8 covers 1 directly inside the subposet.
         assert sp.covered(p.index(8)) == (p.index(1),)
 
+    @pytest.mark.parametrize("i", [1, 2, -1, 4])
+    def test_covered_of_a_non_member_raises_key_error(self, i):
+        # The covers are computed when asked; a non-member still has none.
+        p = build_poset([1, 2, 4, 8])
+        with pytest.raises(KeyError):
+            SubPoset(p, [0, 3]).covered(i)
+
     def test_members_sorted_and_sized(self):
         p = build_poset([1, 2, 3, 6])
         sp = SubPoset(p, [3, 1])

@@ -309,7 +309,8 @@ FIRST_20_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 
 
 class TestIntegerWeights:
-    """The two integer routes to w = x * Psi(x) that the search runs."""
+    """The integer routes to w = x * Psi(x): the recursion that _weights, psi
+    and the search run, and the crosscut that the search checks it with."""
 
     def test_both_routes_equal_x_times_psi(self, corpus):
         # The reference w_i = sum of mu(x_j, x_i) * (x_i / x_j) comes from the
@@ -320,6 +321,7 @@ class TestIntegerWeights:
             mu = moebius.mobius_via_zeta_inverse(p)
             ws = [sum(mu[j, i] * (x // els[j]) for j in range(i + 1) if p.leq(j, i))
                   for i, x in enumerate(els)]
+            assert matrices._weights(p) == ws
             for i, (x, v) in enumerate(zip(els, psi(p))):
                 assert ws[i] == x * v
                 below = [(els[j], ws[j]) for j in range(i) if p.leq(j, i)]
