@@ -118,6 +118,8 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
             rec["doubly_attached"] = (None if dec.doubly_attached is None
                                       else str(p.elements[dec.doubly_attached]))
             rec["mobius_source"] = "closed-form"
+            _verify(w != 0 and (w < 0) == (len(rec["covers"]) == 1),
+                    f"the weight's sign disagreed with the double chain at {x}")
         else:
             rec["chain_a"] = rec["chain_b"] = rec["eta"] = None
             rec["doubly_attached"] = None

@@ -10,7 +10,7 @@ closed-form Mobius column and the sign of the Psi value at x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .lattice import (
     DivisorPoset,
@@ -30,8 +30,8 @@ class BadFoldCountError(ValueError):
     """The fold count r is outside the valid range 0..n-1."""
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(namedtuple("ChainDecomposition", "poset owner core chain_a chain_b "
+                                    "attach eta top_a top_b doubly_attached")):
     """Result of splitting an element's core into two chains.
 
     All element references are indices into ``poset``.  ``chain_a`` holds the
@@ -42,16 +42,7 @@ class ChainDecomposition:
     covered-set element may attach to both chains (``doubly_attached``).
     """
 
-    poset: DivisorPoset
-    owner: int
-    core: SubPoset
-    chain_a: tuple[int, ...]
-    chain_b: tuple[int, ...]
-    attach: dict[int, tuple[int, ...]] = field(repr=False)
-    eta: dict[int, int] = field(repr=False)
-    top_a: int | None
-    top_b: int | None
-    doubly_attached: int | None
+    __slots__ = ()
 
 
 def core_set(p: DivisorPoset, i: int) -> SubPoset:

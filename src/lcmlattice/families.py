@@ -14,8 +14,8 @@ before any of its weights is computed.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 from .lattice import DivisorPoset, _bits, _covers, _verify
 from .matrices import _w_by_crosscut, _w_by_recursion
@@ -354,15 +354,11 @@ def enumerate_gcd_closed(universe: int, size: int) -> Iterator[DivisorPoset]:
         yield DivisorPoset(u.elements[i] for i in idxs)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", "n universes max_iplus witness")):
     """Best positive-eigenvalue count found for a given size (a certified
     lower bound on the true maximum) and the first witness attaining it."""
 
-    n: int
-    universes: tuple[int, ...]
-    max_iplus: int
-    witness: DivisorPoset
+    __slots__ = ()
 
 
 def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchResult:

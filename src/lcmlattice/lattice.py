@@ -180,6 +180,35 @@ class SubPoset:
         return f"SubPoset(values={list(self.values())})"
 
 
+class _PosetValues:
+    """An immutable record of a poset and values indexed like its elements, in
+    __slots__: equal and hashed by both fields, repr Name(poset=..., values=...),
+    AttributeError on assignment.  Subclasses declare __slots__ = ()."""
+
+    __slots__ = ("poset", "values")
+
+    def __init__(self, poset: DivisorPoset, values: tuple) -> None:
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.poset, self.values)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.poset, self.values) == (other.poset, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.poset, self.values))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(poset={self.poset!r}, values={self.values!r})"
+
+
 def build_poset(xs: Iterable[int]) -> DivisorPoset:
     """Validate, deduplicate, sort ascending, and build the divisibility poset."""
     return DivisorPoset(xs)

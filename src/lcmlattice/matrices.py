@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .doublechain import NotDoubleChainGeneratorError, generates_double_chain
-from .lattice import DivisorPoset, VerificationError, _bits, _verify
+from .lattice import DivisorPoset, VerificationError, _PosetValues, _bits, _verify
 from .moebius import mobius_recursive
 
 
@@ -100,12 +100,10 @@ class ExactMatrix:
         return f"ExactMatrix({[[str(v) for v in row] for row in self.entries]})"
 
 
-@dataclass(frozen=True)
-class PsiVector:
+class PsiVector(_PosetValues):
     """Index-aligned exact Psi values of a gcd-closed poset."""
 
-    poset: DivisorPoset
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
@@ -127,16 +125,13 @@ class PsiVector:
         return InertiaTriple(plus, minus, len(self.values) - plus - minus)
 
 
-@dataclass(frozen=True)
-class InertiaTriple:
+class InertiaTriple(namedtuple("InertiaTriple", "plus minus zero")):
     """Counts of positive, negative, and zero eigenvalues."""
 
-    plus: int
-    minus: int
-    zero: int
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.plus, self.minus, self.zero)
+        return tuple(self)
 
 
 def _require_gcd_closed(p: DivisorPoset) -> None:

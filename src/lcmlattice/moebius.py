@@ -9,18 +9,15 @@ form is defined; the test suite enforces that on the whole corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .doublechain import decompose_chains
-from .lattice import DivisorPoset, _bits, _verify
+from .lattice import DivisorPoset, _PosetValues, _bits, _verify
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
+class MoebiusTable(_PosetValues):
     """Full table of mu(x_j, x_i) values; values[j][i] is 0 unless x_j | x_i."""
 
-    poset: DivisorPoset
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def column(self, i: int) -> dict[int, int]:
         """Column of mu(., x_i) as an index-to-value map (zeros included)."""

@@ -584,6 +584,50 @@ def test_swapped_pivots_exit_three(flags):
                            "an oracle pivot disagreed with the weight at 2\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("cap", [[], ["--cap", "0"]], ids=["at-cap", "cap-0"])
+@pytest.mark.parametrize("factor", [-1, 0], ids=["negated", "zeroed"])
+def test_a_generator_weight_of_the_wrong_sign_exits_three(flags, cap, factor):
+    # The cube's top generates no double chain, so no structural inertia is
+    # checked; 6 does, covers two members and weighs 2.  Each route to the
+    # weights is patched, so the sign check, not psi's second route or the
+    # oracle, is what fails.
+    assert generates_double_chain(build_poset(map(int, CUBE)), 4)
+    assert not generates_double_chain(build_poset(map(int, CUBE)), 7)
+    src = Path(lcmlattice.__file__).parents[1]
+    script = ("import sys\n"
+              "from lcmlattice import cli\n"
+              "def flip(real):\n"
+              "    def route(p):\n"
+              "        vs = list(real(p))\n"
+              f"        vs[p.index(6)] *= {factor}\n"
+              "        return vs\n"
+              "    return route\n"
+              "cli._weights, cli.psi = flip(cli._weights), flip(cli.psi)\n"
+              f"sys.exit(cli.main(['analyze', *{cap!r}, *{CUBE!r}]))\n")
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error: verification failed: "
+                           "the weight's sign disagreed with the double chain at 6\n")
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # Each module costs every command its import time: dataclasses pulls in
+    # inspect, ast, dis and tokenize.  -S keeps site hooks from loading either.
+    src = Path(lcmlattice.__file__).parents[1]
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import lcmlattice.cli\n"
+              "new = set(sys.modules) - before\n"
+              "print(sorted({'dataclasses', 'inspect'} & new), 'lcmlattice.cli' in new)\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] True\n", "")
+
+
 def test_text_and_json_numbers_agree(capsys):
     _, text_out, _ = run_cli(["analyze", *CUBE], capsys)
     _, json_out, _ = run_cli(["analyze", "--json", *CUBE], capsys)

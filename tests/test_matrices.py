@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import math
 from collections import defaultdict
@@ -791,7 +790,7 @@ PLAIN = [1, 2, 3, 4, 6, 9, 36]  # top 36: chain A [1, 2], chain B [3]
      lambda: decompose_chains(build_poset(PLAIN), 6),
      "do not partition the core"),
     (moebius, "decompose_chains",
-     lambda real: lambda p, i: dataclasses.replace(real(p, i), top_a=None, top_b=None),
+     lambda real: lambda p, i: real(p, i)._replace(top_a=None, top_b=None),
      lambda: mobius_closed_form(build_poset(PLAIN), 6),
      "no chain tops"),
     (matrices, "_eliminate_symmetric",
