@@ -120,7 +120,8 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
     chain_a, chain_b = split
 
     # C is an antichain, so what a cover z covers inside core + C lies in the core.
-    core_below = {z: _covers(p._down[z] & core._mask, p._down) for z in c}
+    mask = core._mask
+    core_below = {z: _covers(p._down[z] & mask, p._down) for z in c}
     attach: dict[int, list[int]] = {m: [] for m in core.members}
     doubly: int | None = None
     for z, below in core_below.items():

@@ -7,6 +7,7 @@ floating point enters any analysis path.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, partial
 from itertools import accumulate, repeat
@@ -124,10 +125,6 @@ class DivisorPoset:
         """Indices of the elements covered by x_i within the set."""
         return self._covered[i]
 
-    def covers_of(self, j: int) -> tuple[int, ...]:
-        """Indices of the elements that cover x_j within the set."""
-        return tuple(i for i in range(j + 1, self.n) if j in self._covered[i])
-
     @cached_property
     def gcd_closed(self) -> bool:
         return -1 not in self._low_meet
@@ -148,17 +145,23 @@ class DivisorPoset:
         return hash(self.elements)
 
 
-class SubPoset:
+class SubPoset(namedtuple("SubPoset", "parent members")):
     """An induced sub-poset: a subset of a DivisorPoset with the cover
-    relation recomputed inside the subset.  Members are parent indices."""
+    relation recomputed inside the subset.  Members are parent indices,
+    sorted.  A value: equal and hashed by (parent, members), immutable."""
 
-    def __init__(self, parent: DivisorPoset, members: Iterable[int]):
-        self.parent = parent
-        self.members: tuple[int, ...] = tuple(sorted(set(members)))
-        for m in self.members:
+    __slots__ = ()
+
+    def __new__(cls, parent: DivisorPoset, members: Iterable[int]):
+        members = tuple(sorted(set(members)))
+        for m in members:
             if not 0 <= m < parent.n:
                 raise ValueError(f"index {m} outside parent poset")
-        self._mask = sum(1 << m for m in self.members)
+        return super().__new__(cls, parent, members)
+
+    @property
+    def _mask(self) -> int:
+        return sum(1 << m for m in self.members)
 
     @property
     def size(self) -> int:

@@ -64,10 +64,11 @@ def mobius_via_zeta_inverse(p: DivisorPoset) -> MoebiusTable:
 def mobius_closed_form(p: DivisorPoset, i: int) -> dict[int, int]:
     """Column of mu(., x_i) read directly off the chain decomposition of x_i.
 
-    Value 1 at x_i itself, -1 on the covered set, and on the core an
-    attachment count corrected at the chain tops: a maximal top loses one, and
-    with no doubly-attached element the meet of two incomparable tops gains
-    one.  Everything outside the closure is 0.  Raises
+    Value 1 at x_i itself, -1 on the covered set, and on the core each
+    element's attachment count eta, corrected at the chain tops: when the tops
+    are comparable (or chain B is empty) only the higher one loses one; when
+    they are incomparable both lose one, and their meet gains one unless a
+    cover is doubly attached.  Everything outside the closure is 0.  Raises
     NotDoubleChainGeneratorError when x_i has no such decomposition.
     """
     dec = decompose_chains(p, i)
@@ -75,28 +76,16 @@ def mobius_closed_form(p: DivisorPoset, i: int) -> dict[int, int]:
     col[i] = 1
     for z in p.covered(i):
         col[z] = -1
-    core_members = dec.core.members
-    if not core_members:
+    col.update(dec.eta)
+    if not dec.core.members:
         return col
-
     ta, tb = dec.top_a, dec.top_b
     _verify(ta is not None and tb is not None, "a non-empty core has no chain tops")
-    tops_incomparable = ta != tb and not (p.leq(ta, tb) or p.leq(tb, ta))
-    meet_of_tops = None
-    if tops_incomparable:
-        meet_of_tops = p.index(math.gcd(p.elements[ta], p.elements[tb]))
-
-    def maximal_in_core(j: int) -> bool:
-        return not any(k != j and p.leq(j, k) for k in core_members)
-
-    for j in core_members:
-        eta = dec.eta[j]
-        if dec.doubly_attached is not None:
-            col[j] = eta - 1 if j in (ta, tb) else eta
-        elif j in (ta, tb) and maximal_in_core(j):
-            col[j] = eta - 1
-        elif tops_incomparable and j == meet_of_tops:
-            col[j] = eta + 1
-        else:
-            col[j] = eta
+    if p.leq(ta, tb) or p.leq(tb, ta):
+        col[max(ta, tb)] -= 1  # ascending order: the higher top has the larger index
+    else:
+        col[ta] -= 1
+        col[tb] -= 1
+        if dec.doubly_attached is None:
+            col[p.index(math.gcd(p.elements[ta], p.elements[tb]))] += 1
     return col

@@ -33,6 +33,10 @@ SINGLE_CORE_COVER_SET = (1, 2, 6, 10, 30, 42, 110, 130, 323, 9699690)
 # the negative inertia index hits its n-1 ceiling.
 MEET_TREE_SET = (1, 2, 4, 6, 10)
 
+# Every element generates a double chain, and the top's core {1, 2, 3, 6}
+# splits as A = 1, 2, 6 and B = 3: two chain tops, 3 below 6.
+COMPARABLE_TOPS_SET = (1, 2, 3, 6, 22, 30, 39, 42, 30030)
+
 
 def _named_corpus() -> list[tuple[str, DivisorPoset]]:
     items: list[tuple[str, DivisorPoset]] = []
@@ -54,6 +58,8 @@ def _named_corpus() -> list[tuple[str, DivisorPoset]]:
     # Two sets whose top has a cover attached to a pair of core elements.
     items.append(("doubly-attached", build_poset([1, 2, 3, 4, 6, 9, 36])))
     items.append(("doubly-attached-wide", build_poset([1, 2, 3, 6, 10, 21, 210])))
+    # A top covering 22, 30, 39 and 42 whose two chain tops are comparable.
+    items.append(("comparable-tops", build_poset(COMPARABLE_TOPS_SET)))
     return items
 
 

@@ -125,10 +125,6 @@ class TestOrder:
         p = build_poset([1, 2, 4, 8])
         assert [p.elements[j] for j in p.covered(p.index(8))] == [4]
 
-    def test_covers_of_upward(self):
-        p = build_poset([1, 2, 3, 6])
-        assert [p.elements[j] for j in p.covers_of(p.index(1))] == [2, 3]
-
     def test_covers_form_antichain(self, corpus):
         for _, p in corpus:
             for i in range(p.n):
@@ -144,8 +140,6 @@ class TestOrder:
         els, full = p.elements, range(p.n)
         for i in full:
             assert p.covered(i) == brute_covered(els, full, i)
-            assert p.covers_of(i) == tuple(k for k in full
-                                           if i in brute_covered(els, full, k))
         sp = SubPoset(p, data.draw(st.sets(st.sampled_from(full))))
         for m in sp.members:
             assert sp.covered(m) == brute_covered(els, sp.members, m)

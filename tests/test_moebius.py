@@ -11,6 +11,7 @@ from lcmlattice import (
     NotDoubleChainGeneratorError,
     build_poset,
     cube_instances,
+    decompose_chains,
     divisors,
     gcd_closure,
     generates_double_chain,
@@ -117,7 +118,6 @@ class TestClosedForm:
         # attached twice: the meet of the tops picks up an extra +1.
         p = incomparable_tops_instance()
         i = p.n - 1
-        from lcmlattice import decompose_chains
         d = decompose_chains(p, i)
         assert d.doubly_attached is None
         ta, tb = d.top_a, d.top_b
@@ -131,6 +131,33 @@ class TestClosedForm:
         meet_val = math.gcd(p.elements[ta], p.elements[tb])
         k = p.index(meet_val)
         assert d.eta[k] == 0 and col[k] == 1
+
+    def test_every_top_case_is_reached_and_matches_zeta(self, corpus, enum210):
+        # The closed form corrects the chain tops in one of four ways; the
+        # corpus and the pool reach each, and each column is the zeta route's.
+        seen = set()
+        for p in [q for _, q in corpus] + enum210:
+            zeta = mobius_via_zeta_inverse(p)
+            for i in range(p.n):
+                try:
+                    d = decompose_chains(p, i)
+                except NotDoubleChainGeneratorError:
+                    continue
+                ta, tb = d.top_a, d.top_b
+                if ta is None:
+                    continue
+                if not d.chain_b:
+                    case = "chain B empty"
+                elif p.leq(ta, tb) or p.leq(tb, ta):
+                    case = "comparable tops"
+                elif d.doubly_attached is None:
+                    case = "incomparable tops"
+                else:
+                    case = "incomparable tops, doubly attached"
+                assert mobius_closed_form(p, i) == zeta.column(i), (p, i, case)
+                seen.add(case)
+        assert seen == {"chain B empty", "comparable tops", "incomparable tops",
+                        "incomparable tops, doubly attached"}
 
     def test_raises_for_non_generating_element(self):
         p = cube_instances()[0]

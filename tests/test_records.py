@@ -21,7 +21,9 @@ from lcmlattice import (
     SearchResult,
     SubPoset,
     build_poset,
+    core_set,
     cube_instances,
+    decompose_chains,
     inertia_from_psi,
     mobius_recursive,
     psi,
@@ -32,7 +34,7 @@ P = build_poset([1, 2])
 P4 = build_poset([1, 2, 3, 6])
 
 # (record class, fields in order, repr, a library call that makes the same
-# value or None, hashable)
+# value, hashable)
 RECORDS = [
     (InertiaTriple, {"plus": 4, "minus": 4, "zero": 0},
      "InertiaTriple(plus=4, minus=4, zero=0)",
@@ -46,7 +48,7 @@ RECORDS = [
      "ChainDecomposition(poset=DivisorPoset([1, 2, 3, 6]), owner=3, core=SubPoset(values=[1]), "
      "chain_a=(0,), chain_b=(), attach={0: (1, 2)}, eta={0: 2}, top_a=0, top_b=0, "
      "doubly_attached=None)",
-     None, False),
+     lambda: decompose_chains(P4, 3), False),
     (PsiVector, {"poset": P, "values": (F(1), F(-1, 2))},
      "PsiVector(poset=DivisorPoset([1, 2]), values=(Fraction(1, 1), Fraction(-1, 2)))",
      lambda: psi(P), True),
@@ -65,8 +67,7 @@ def test_record_api(cls, fields, text, made, hashable):
         assert getattr(by_keyword, name) is value
     assert by_position == by_keyword
     assert repr(by_keyword) == text
-    if made is not None:
-        assert made() == by_keyword
+    assert made() == by_keyword
     if hashable:
         assert hash(by_position) == hash(by_keyword)
         assert len({by_position, by_keyword}) == 1
@@ -88,3 +89,15 @@ def test_poset_value_records_compare_by_class_and_fields():
     vec, table = psi(P), mobius_recursive(P)
     assert (vec[1], len(vec), list(vec)) == (F(-1, 2), 2, [F(1), F(-1, 2)])
     assert (table[0, 1], table.column(1)) == (-1, {0: -1, 1: 1})
+
+
+def test_cores_are_values():
+    a, b = core_set(P4, 3), core_set(P4, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != SubPoset(P4, [0, 1]) and a != SubPoset(build_poset([1, 2, 3, 6, 12]), [0])
+    dec = decompose_chains(P4, 3)
+    assert pickle.loads(pickle.dumps(dec)) == dec
+    for name in ("parent", "members", "_mask", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (1,))
+    assert a.members == (0,) and a._mask == 1
