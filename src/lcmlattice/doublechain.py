@@ -9,7 +9,6 @@ closed-form Mobius column and the sign of the Psi value at x.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .lattice import (
@@ -18,6 +17,7 @@ from .lattice import (
     _covers,
     _verify,
     gcd_closure,
+    meet,
     meet_closure,
 )
 
@@ -155,9 +155,7 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
                 "a cover attached to both chains, but a chain has no top")
         _verify(not (p.leq(top_a, top_b) or p.leq(top_b, top_a)),
                 "chain tops are comparable although a cover attaches to both")
-        tops_meet = math.gcd(p.elements[top_a], p.elements[top_b])
-        qr_meet = math.gcd(p.elements[q], p.elements[r])
-        _verify(tops_meet == qr_meet,
+        _verify(meet(p, top_a, top_b) == meet(p, q, r),
                 "chain tops and doubly-attached covers have different meets")
 
     return ChainDecomposition(
@@ -175,9 +173,12 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
 
 
 def is_a_set(p: DivisorPoset) -> bool:
-    """True when the pairwise gcds of distinct members form a single chain."""
-    meets = sorted(p._meets)
-    return all(b % a == 0 for a, b in zip(meets, meets[1:]))
+    """True when the pairwise gcds of distinct members form a single chain.
+    They do exactly when the members of the gcd closure that lie below
+    another member form a chain, and then the two chains are equal."""
+    closed = p if p.gcd_closed else DivisorPoset(gcd_closure(p.elements))
+    top = set(_covers((1 << closed.n) - 1, closed._down))
+    return _is_chain(closed, tuple(j for j in range(closed.n) if j not in top))
 
 
 def is_meet_tree(p: DivisorPoset) -> bool:

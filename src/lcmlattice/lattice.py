@@ -89,18 +89,16 @@ class DivisorPoset:
         # of _down[a]; _low_meet[b] is the lowest index of these g (-1 if one is
         # not a member, n for the last b).
         els, present = self.elements, self._index
-        down, low, meets = [1 << i for i in range(n)], [], set()
+        down, low = [1 << i for i in range(n)], []
         for b, x in enumerate(els):
             gs = list(map(math.gcd, els[b + 1:], repeat(x)))
             for a, g in enumerate(gs, b + 1):
                 if g == x:
                     down[a] |= 1 << b
             gs = set(gs)
-            meets |= gs     # the gcds of distinct members
             low.append(-1 if not present.keys() >= gs else
                        present[min(gs)] if gs else n)
-        self._down = tuple(down)
-        self._low_meet, self._meets = tuple(low), frozenset(meets)
+        self._down, self._low_meet = tuple(down), tuple(low)
         self._covered = tuple(_covers(d & ~(1 << i), down) for i, d in enumerate(down))
 
     @property

@@ -334,16 +334,13 @@ def inertia_from_psi(p: DivisorPoset) -> InertiaTriple:
     return psi(p).inertia()
 
 
-def structural_inertia(p: DivisorPoset, generators: Iterable[bool] | None = None
-                       ) -> InertiaTriple | None:
+def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
     """Inertia with no rational arithmetic, when every element generates a
     double chain: elements covering exactly one member count negative, the
     rest positive, and the matrix is nonsingular.  None when some element
-    does not generate a double chain: generators holds that decision for
-    each element in index order, or, if None, each is decided here."""
+    does not generate a double chain."""
     _require_gcd_closed(p)
-    if not all(generators if generators is not None
-               else (generates_double_chain(p, i) for i in range(p.n))):
+    if not all(generates_double_chain(p, i) for i in range(p.n)):
         return None
     minus = sum(1 for i in range(p.n) if len(p.covered(i)) == 1)
     return InertiaTriple(p.n - minus, minus, 0)

@@ -157,13 +157,6 @@ class TestAnalyze:
         assert code == 0
         assert len(seen) == calls
 
-    def test_structural_inertia_is_checked_above_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "structural_inertia",
-                            lambda p, generators: InertiaTriple(8, 0, 0))
-        code, out, err = run_cli(["analyze", "--json", "--cap", "0", *CUBE], capsys)
-        assert code == 3 and out == ""
-        assert err.startswith("error: verification failed: structural inertia")
-
     def test_each_core_is_built_once_per_route(self, capsys, monkeypatch):
         real = doublechain.meet_closure
         calls = []
@@ -175,8 +168,8 @@ class TestAnalyze:
         monkeypatch.setattr(doublechain, "meet_closure", counting)
         code, _, _ = run_cli(["analyze", "--json", *CUBE], capsys)
         assert code == 0
-        # One per element for the report's decomposition; structural_inertia
-        # reads the decisions of that one split, so both routes share it.
+        # One per element for the report's decomposition; the weight's sign
+        # check and the structural label both read that one split.
         assert len(calls) == 8
 
     @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
@@ -588,29 +581,32 @@ def test_swapped_pivots_exit_three(flags):
 @pytest.mark.parametrize("cap", [[], ["--cap", "0"]], ids=["at-cap", "cap-0"])
 @pytest.mark.parametrize("factor", [-1, 0], ids=["negated", "zeroed"])
 def test_a_generator_weight_of_the_wrong_sign_exits_three(flags, cap, factor):
-    # The cube's top generates no double chain, so no structural inertia is
-    # checked; 6 does, covers two members and weighs 2.  Each route to the
-    # weights is patched, so the sign check, not psi's second route or the
-    # oracle, is what fails.
-    assert generates_double_chain(build_poset(map(int, CUBE)), 4)
-    assert not generates_double_chain(build_poset(map(int, CUBE)), 7)
+    # The cube's top generates no double chain; 6 does, covers two members
+    # and weighs 2.  Every divisor of 36 generates, so above the cap the sign
+    # counts are reported as the structural inertia; 2 covers one member and
+    # weighs -1.  Each route to the weights is patched, so the sign check, not
+    # psi's second route or the oracle, is what fails.
+    cube, all_generate = build_poset(map(int, CUBE)), build_poset(divisors(36))
+    assert generates_double_chain(cube, 4) and not generates_double_chain(cube, 7)
+    assert all(generates_double_chain(all_generate, i) for i in range(all_generate.n))
     src = Path(lcmlattice.__file__).parents[1]
-    script = ("import sys\n"
-              "from lcmlattice import cli\n"
-              "def flip(real):\n"
-              "    def route(p):\n"
-              "        vs = list(real(p))\n"
-              f"        vs[p.index(6)] *= {factor}\n"
-              "        return vs\n"
-              "    return route\n"
-              "cli._weights, cli.psi = flip(cli._weights), flip(cli.psi)\n"
-              f"sys.exit(cli.main(['analyze', *{cap!r}, *{CUBE!r}]))\n")
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr == ("error: verification failed: "
-                           "the weight's sign disagreed with the double chain at 6\n")
+    for xs, x in ((CUBE, 6), ([str(d) for d in all_generate.elements], 2)):
+        script = ("import sys\n"
+                  "from lcmlattice import cli\n"
+                  "def flip(real):\n"
+                  "    def route(p):\n"
+                  "        vs = list(real(p))\n"
+                  f"        vs[p.index({x})] *= {factor}\n"
+                  "        return vs\n"
+                  "    return route\n"
+                  "cli._weights, cli.psi = flip(cli._weights), flip(cli.psi)\n"
+                  f"sys.exit(cli.main(['analyze', *{cap!r}, *{xs!r}]))\n")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == ("error: verification failed: "
+                               f"the weight's sign disagreed with the double chain at {x}\n")
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():

@@ -296,6 +296,8 @@ class TestASet:
         assert is_a_set(build_poset([1, 2, 4, 8]))  # chain
         assert is_a_set(build_poset([7]))
         assert not is_a_set(build_poset([1, 2, 3, 6]))  # gcds {1, 2, 3}
+        assert is_a_set(build_poset([8, 12, 20]))  # not gcd closed; gcds {4}
+        assert not is_a_set(build_poset([6, 10, 15]))  # gcds {2, 3, 5}
 
     def test_a_set_elements_all_generate(self, enum210):
         for p in enum210:
