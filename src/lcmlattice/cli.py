@@ -1,9 +1,8 @@
 """Command line front end.
 
-Subcommands: analyze (full report for a set), family (generate a named
-family and report on it), mobius (table or single column), dot (Hasse
-diagram), search (max positive eigenvalue count over universes), closure
-(gcd closure of a set).
+Each subcommand is one entry of _COMMANDS: its help line, the function that
+adds its arguments, its handler.  main builds only the parser of the command
+it runs, and the full one for help, unknown commands and leftover arguments.
 
 Exit codes: 0 success; 1 usage, parse, or parameter errors, or a stdout
 closed before the output was written (no traceback); 2 when the input set is
@@ -337,10 +336,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_set_arguments(sub: argparse.ArgumentParser) -> None:
+def _add_set_arguments(sub: argparse.ArgumentParser, json: bool = False) -> None:
     sub.add_argument("elements", nargs="*",
                      help="set elements (or a single '-' to read stdin)")
     sub.add_argument("--file", help="read elements from a file ('-' for stdin)")
+    if json:
+        sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
 def _add_report_arguments(sub: argparse.ArgumentParser) -> None:
@@ -351,69 +352,75 @@ def _add_report_arguments(sub: argparse.ArgumentParser) -> None:
                      help="auto-verify with the oracle up to this size (default 64)")
 
 
-@cache  # built once per process, on first use; parse_args keeps no state
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lcmlattice",
-                     description="Exact divisibility-order analysis of integer sets "
-                                 "and their GCD/LCM matrices.")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _analyze_arguments(sub: argparse.ArgumentParser) -> None:
+    _add_set_arguments(sub)
+    sub.add_argument("--close", action="store_true",
+                     help="analyze the gcd closure when the set is not closed")
+    _add_report_arguments(sub)
 
-    an = subs.add_parser("analyze", help="full report for a set")
-    _add_set_arguments(an)
-    an.add_argument("--close", action="store_true",
-                    help="analyze the gcd closure when the set is not closed")
-    _add_report_arguments(an)
-    an.set_defaults(func=_cmd_analyze)
 
-    fam = subs.add_parser("family", help="generate a named family and report on it")
-    fam.add_argument("kind",
-                     choices=["grid", "squarefree-pairs", "triple-prime", "cube",
-                              "classical", "incomparable-tops"])
-    fam.add_argument("--p", type=int)
-    fam.add_argument("--q", type=int)
-    fam.add_argument("--r", type=int)
-    fam.add_argument("--m", type=int)
-    fam.add_argument("--n", type=int)
-    fam.add_argument("--index", type=int, help="cube instance number (1-3)")
-    fam.add_argument("--primes", type=int, nargs="+")
-    _add_report_arguments(fam)
-    fam.set_defaults(func=_cmd_family)
+def _family_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("kind", choices=["grid", "squarefree-pairs", "triple-prime", "cube",
+                                      "classical", "incomparable-tops"])
+    for name in "pqrmn":
+        sub.add_argument(f"--{name}", type=int)
+    sub.add_argument("--index", type=int, help="cube instance number (1-3)")
+    sub.add_argument("--primes", type=int, nargs="+")
+    _add_report_arguments(sub)
 
-    mob = subs.add_parser("mobius", help="Mobius table or a single column")
-    _add_set_arguments(mob)
-    mob.add_argument("--column", type=int, help="element value for a single column")
-    mob.add_argument("--method", choices=["recursive", "closed-form", "zeta"],
-                     default="recursive")
-    mob.add_argument("--close", action="store_true")
-    mob.add_argument("--json", action="store_true", help="emit JSON")
-    mob.set_defaults(func=_cmd_mobius)
 
-    dot = subs.add_parser("dot", help="Hasse diagram as DOT")
-    _add_set_arguments(dot)
-    dot.set_defaults(func=_cmd_dot)
+def _mobius_arguments(sub: argparse.ArgumentParser) -> None:
+    _add_set_arguments(sub)
+    sub.add_argument("--column", type=int, help="element value for a single column")
+    sub.add_argument("--method", choices=["recursive", "closed-form", "zeta"], default="recursive")
+    sub.add_argument("--close", action="store_true")
+    sub.add_argument("--json", action="store_true", help="emit JSON")
 
-    clo = subs.add_parser("closure", help="gcd closure of a set")
-    _add_set_arguments(clo)
-    clo.add_argument("--json", action="store_true", help="emit JSON")
-    clo.set_defaults(func=_cmd_closure)
 
-    sea = subs.add_parser("search", help="max positive eigenvalue count at a size")
-    sea.add_argument("--n", type=int, required=True, help="set size to search")
-    where = sea.add_mutually_exclusive_group()
+def _search_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n", type=int, required=True, help="set size to search")
+    where = sub.add_mutually_exclusive_group()
     where.add_argument("--universe", type=int, action="append",
                        help="divisor universe, with at most 4,096 divisors (repeatable)")
     where.add_argument("--max-prime", type=int,
                        help="use divisors of the product of all primes up to this bound "
                             "(at most 37: 4,096 divisors)")
-    sea.add_argument("--json", action="store_true", help="emit JSON")
-    sea.set_defaults(func=_cmd_search)
+    sub.add_argument("--json", action="store_true", help="emit JSON")
 
+
+_COMMANDS = {
+    "analyze": ("full report for a set", _analyze_arguments, _cmd_analyze),
+    "family": ("generate a named family and report on it", _family_arguments, _cmd_family),
+    "mobius": ("Mobius table or a single column", _mobius_arguments, _cmd_mobius),
+    "dot": ("Hasse diagram as DOT", _add_set_arguments, _cmd_dot),
+    "closure": ("gcd closure of a set", partial(_add_set_arguments, json=True), _cmd_closure),
+    "search": ("max positive eigenvalue count at a size", _search_arguments, _cmd_search),
+}
+
+
+@cache  # each built on first use, once per process; parse_args keeps no state
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser main runs a command with; with none, the full one, for help and errors."""
+    if command:
+        parser = _Parser(prog=f"lcmlattice {command}")
+    else:
+        parser = _Parser(prog="lcmlattice", description="Exact divisibility-order analysis "
+                         "of integer sets and their GCD/LCM matrices.")
+        subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            sub = parser if command else subs.add_parser(name, help=help_line)
+            add_arguments(sub)
+            sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns, rest = (_build_parser(argv[0]).parse_known_args(argv[1:])
+                if argv and argv[0] in _COMMANDS else (None, None))
+    if ns is None or rest:  # the full parser words the help or the error
+        ns = _build_parser().parse_args(argv)
     try:
         code = ns.func(ns)
         sys.stdout.flush()

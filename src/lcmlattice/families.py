@@ -246,8 +246,9 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     with a lies on the new path (the universe is gcd closed, so the meet of
     two indices is the highest one in both down-sets).  That suffices: if
     P + {b} is closed and the meet of a and b is in P + {a}, then
-    P + {a, b} is closed.  So each candidate is meet-tested once per level,
-    not against every element of the path.
+    P + {a, b} is closed.  The indices after a are grouped by their meet with
+    a once per a (kept for the walk), so the child's candidates are the
+    node's candidates in the groups of a's divisors on the new path.
     Each element appended gets w = x * Psi(x) from the recursion over its
     strict divisors on the path and from the crosscut over the elements it
     covers on the path (VerificationError if they differ), and the positive
@@ -290,6 +291,13 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
     chosen: list[int] = []
     best = -1 if beat is None else beat    # every count beats -1
     floor = (size - 1).bit_length()        # single-cover members of any set
+    after: dict[int, list[int]] = {}  # a -> by; by[m] has bit b - a - 1 if b > a meets a in m
+
+    def after_by_meet(a: int) -> list[int]:
+        da, by = down[a], [0] * (a + 1)
+        for i, db in enumerate(down[a + 1:]):
+            by[(da & db).bit_length() - 1] |= 1 << i
+        return by
 
     def rec(mask: int, cands: int, plus: int, ones: int
             ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -311,9 +319,9 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
             if one and plus + left - 1 <= best:
                 continue
             grown, kids = mask | 1 << a, 0
-            if left > 1:        # the child's candidates
-                for b in _bits(cands >> a + 1 << a + 1):
-                    kids |= (grown >> (da & down[b]).bit_length() - 1 & 1) << b
+            if left > 1:        # the child's candidates, from disjoint groups
+                by = after.get(a) or after.setdefault(a, after_by_meet(a))
+                kids = sum(map(by.__getitem__, _bits(da & grown))) << a + 1 & cands
                 if kids.bit_count() < left - 1:
                     continue
             x = els[a]

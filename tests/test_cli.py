@@ -488,7 +488,7 @@ class TestSearch:
 
 
 def test_repeated_calls_print_what_a_first_call_prints(capsys):
-    # The parser is built once per process; parse_args must keep nothing from
+    # Each parser is built once per process; parse_args must keep nothing from
     # one call to the next, also after a usage error or --help exits.
     commands = [["analyze", "--json", *CUBE],
                 ["search", "--json", "--n", "4", "--universe", "210"],
@@ -504,6 +504,38 @@ def test_repeated_calls_print_what_a_first_call_prints(capsys):
         capsys.readouterr()
         assert [run_cli(c, capsys) for c in commands] == first
     assert cli._build_parser() is cli._build_parser()
+
+
+#: Help and usage errors: main must print what the full parser prints.
+PARITY_ARGVS = [[command, "--help"] for command in cli._COMMANDS] + [
+    [], ["--help"], ["bogus"], ["analyze", "--bogus", "1"], ["search"],
+    ["search", "--n", "x"], ["family", "nope"], ["mobius", "--method", "nope", "1"],
+    ["search", "--n", "3", "--universe", "6", "--max-prime", "5"],
+    ["search", "--n", "4", "--universe", "210", "extra"]]
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_errors_are_the_full_parsers(argv, capsys):
+    # main parses a known command with that command's parser alone, and goes
+    # to the full parser for help, an unknown command or leftover arguments.
+    assert _exit(cli.main, argv, capsys) == _exit(cli._build_parser().parse_args, argv, capsys)
+
+
+def test_a_valid_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda *command: built.append(command) or build(*command))
+    build.cache_clear()
+    assert run_cli(["search", "--json", "--n", "4", "--universe", "210"], capsys)[0] == 0
+    assert run_cli(["analyze", "--json", *CUBE], capsys)[0] == 0
+    assert built == [("search",), ("analyze",)]
+    assert build.cache_info().currsize == 2
 
 
 def test_console_script_entry_point():
