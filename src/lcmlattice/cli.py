@@ -8,7 +8,7 @@ Exit codes: 0 success; 1 usage, parse, or parameter errors, or a stdout
 closed before the output was written (no traceback); 2 when the input set is
 not gcd closed and --close was not given; 3 when two independent routes to
 the same result disagreed (a fault in the program, not the input).  A report
-keeps each weight w_k = x_k * Psi_k an int and makes Psi_k only to print it.
+keeps each weight w_k = x_k * Psi_k an int and prints Psi_k with no Fraction.
 Up to --cap elements, or with --verify, pivot k of one exact elimination of
 the LCM matrix must be x_k * w_k; else psi's Mobius sum checks w_k.
 
@@ -41,26 +41,29 @@ from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inver
 DEFAULT_VERIFY_CAP = 64
 
 
-def _frac(f: Fraction | int) -> str:
-    # Decimal prints an int of any length; str(int) stops at CPython's 4300-digit limit.
-    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
+def _frac(f: Fraction | int, den: int = 1) -> str:
+    # f / den (den > 0) in lowest terms; Decimal prints any int, str stops at 4300 digits.
+    g = math.gcd(f.numerator, den)  # f.denominator is coprime to f.numerator
+    return f"{Decimal(f.numerator // g)}/{Decimal(f.denominator * den // g)}"
 
 
 def _dumps(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for str keys, str, int, bool, None, list and
-    dict, strings escaped in C (any indent sends json.dumps to its Python
-    encoder); TypeError for any other type, or a key that is not a str."""
-    if isinstance(obj, str):
+    """json.dumps(obj, indent=2) for str keys and exact str, int, bool, None,
+    list and dict, strings escaped in C (any indent sends json.dumps to its
+    Python encoder); TypeError for any other type, or a key that is not a str."""
+    t = type(obj)
+    if t is str:
         return _quote(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
+    if t is int:
         return int.__repr__(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
     inner = indent + "  "
-    if isinstance(obj, list):
-        items, ends = [_dumps(v, inner) for v in obj], "[]"
-    elif isinstance(obj, dict):  # _quote raises the TypeError for a key
-        items, ends = [_quote(k) + ": " + _dumps(v, inner) for k, v in obj.items()], "{}"
+    if t is list:  # str items are quoted here, with no call of _dumps
+        items, ends = [_quote(v) if type(v) is str else _dumps(v, inner) for v in obj], "[]"
+    elif t is dict:  # _quote raises the TypeError for a key
+        items, ends = [_quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner))
+                       for k, v in obj.items()], "{}"
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
@@ -90,7 +93,8 @@ def _read_elements(ns: argparse.Namespace) -> list[int]:
         try:
             values.append(int(t))
         except ValueError:
-            raise ValueError(f"not an integer: {t!r}") from None
+            shown = repr(t) if len(t) <= 20 else f"{t[:20]!r}... ({len(t)} characters)"
+            raise ValueError(f"not an integer: {shown}") from None
     return values
 
 
@@ -99,6 +103,7 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
     oracle = verify or p.n <= cap
     els = p.elements
     ws = _weights(p) if oracle else [int(x * v) for x, v in zip(els, psi(p))]
+    strs = [str(x) for x in els]
     per_element = []
     for i, (x, w) in enumerate(zip(els, ws)):
         try:
@@ -106,24 +111,23 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         except NotDoubleChainGeneratorError:
             dec = None
         rec: dict = {
-            "value": str(x),
-            "covers": [str(p.elements[j]) for j in p.covered(i)],
+            "value": strs[i],
+            "covers": [strs[j] for j in p.covered(i)],
             "generates_double_chain": dec is not None,
         }
         if dec is not None:
-            rec["chain_a"] = [str(p.elements[j]) for j in dec.chain_a]
-            rec["chain_b"] = [str(p.elements[j]) for j in dec.chain_b]
-            rec["eta"] = {str(p.elements[j]): dec.eta[j] for j in dec.core.members}
+            rec["chain_a"] = [strs[j] for j in dec.chain_a]
+            rec["chain_b"] = [strs[j] for j in dec.chain_b]
+            rec["eta"] = {strs[j]: dec.eta[j] for j in dec.core.members}
             rec["doubly_attached"] = (None if dec.doubly_attached is None
-                                      else str(p.elements[dec.doubly_attached]))
+                                      else strs[dec.doubly_attached])
             rec["mobius_source"] = "closed-form"
             _verify(w != 0 and (w < 0) == (len(rec["covers"]) == 1),
-                    f"the weight's sign disagreed with the double chain at {x}")
+                    "the weight's sign disagreed with the double chain at %s", x)
         else:
-            rec["chain_a"] = rec["chain_b"] = rec["eta"] = None
-            rec["doubly_attached"] = None
+            rec["chain_a"] = rec["chain_b"] = rec["eta"] = rec["doubly_attached"] = None
             rec["mobius_source"] = "recursive"
-        rec["psi"] = _frac(Fraction(w, x))
+        rec["psi"] = _frac(w, x)
         rec["psi_sign"] = "positive" if w > 0 else ("negative" if w < 0 else "zero")
         per_element.append(rec)
 
@@ -137,14 +141,14 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         _verify(oracle_inertia == inertia, "inertia oracle disagreed with sign counts")
         _verify(oracle_det == det, "determinant oracle disagreed with the product formula")
         for x, w, pivot in zip(els, ws, pivots):
-            _verify(pivot == x * w, f"an oracle pivot disagreed with the weight at {x}")
+            _verify(pivot == x * w, "an oracle pivot disagreed with the weight at %s", x)
         method = "oracle-verified"
 
     return {
         "input": [str(x) for x in sorted(set(original))],
         "gcd_closed_input": not closure_applied,
         "closure_applied": closure_applied,
-        "elements": [str(x) for x in els],
+        "elements": strs,
         "n": p.n,
         "per_element": per_element,
         "determinant": _frac(det),

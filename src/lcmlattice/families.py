@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .lattice import DivisorPoset, _bits, _covers, _verify
+from .lattice import DivisorPoset, _covers, _verify
 from .matrices import _w_by_crosscut, _w_by_recursion
 
 
@@ -310,9 +310,10 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
                 yield tuple(chosen), plus
             return
         reach = plus + left - max(0, floor - ones)
-        for a in _bits(cands):
-            if reach <= best or (cands >> a).bit_count() < left:
+        while cands:            # peel the lowest bit: candidates ascending
+            if reach <= best or cands.bit_count() < left:
                 return
+            a, cands = (cands & -cands).bit_length() - 1, cands & cands - 1  # cands: after a
             da = down[a]
             strict = da & mask
             one = strict > 0 and not strict & ~down[strict.bit_length() - 1]
@@ -321,14 +322,20 @@ def _closed_index_subsets(u: DivisorPoset, size: int, beat: int | None = None
             grown, kids = mask | 1 << a, 0
             if left > 1:        # the child's candidates, from disjoint groups
                 by = after.get(a) or after.setdefault(a, after_by_meet(a))
-                kids = sum(map(by.__getitem__, _bits(da & grown))) << a + 1 & cands
+                on_path = da & grown
+                while on_path:  # the groups are disjoint, so | adds them
+                    kids |= by[(on_path & -on_path).bit_length() - 1]
+                    on_path &= on_path - 1
+                kids = kids << a + 1 & cands
                 if kids.bit_count() < left - 1:
                     continue
-            x = els[a]
-            w[a] = _w_by_recursion(x, [(els[b], w[b]) for b in _bits(strict)])
+            x, pairs, below = els[a], [], strict
+            while below:        # the strict divisors on the path, ascending
+                pairs.append((els[b := (below & -below).bit_length() - 1], w[b]))
+                below &= below - 1
+            w[a] = _w_by_recursion(x, pairs)
             covers = [els[b] for b in _covers(strict, down)]
-            _verify(w[a] == _w_by_crosscut(x, covers),
-                    f"the two Psi routes disagreed at {x}")
+            _verify(w[a] == _w_by_crosscut(x, covers), "the two Psi routes disagreed at %s", x)
             chosen.append(a)
             yield from rec(grown, kids, plus + (w[a] > 0), ones + one)
             chosen.pop()

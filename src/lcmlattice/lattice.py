@@ -34,10 +34,10 @@ class VerificationError(Exception):
     """
 
 
-def _verify(ok: bool, failure: str) -> None:
-    """The one check path: raise VerificationError(failure) unless ok."""
+def _verify(ok: bool, failure: str, *args) -> None:
+    """The one check path: raise VerificationError(failure % args) unless ok."""
     if not ok:
-        raise VerificationError(failure)
+        raise VerificationError(failure % args)
 
 
 def _positive_ints(xs: Iterable[int]) -> list[int]:

@@ -177,7 +177,7 @@ def psi(p: DivisorPoset) -> PsiVector:
     mu = mobius_recursive(p)
     for i, (x, w) in enumerate(zip(els, ws)):
         _verify(sum(mu[j, i] * (x // els[j]) for j in _bits(p._down[i])) == w,
-                f"the two Psi definitions disagreed at {x}")
+                "the two Psi definitions disagreed at %s", x)
     return PsiVector(p, tuple(map(Fraction, ws, els)))
 
 
@@ -188,7 +188,11 @@ def _weights(p: DivisorPoset) -> list[int]:
     els = p.elements
     ws: list[int] = []
     for i, x in enumerate(els):
-        ws.append(_w_by_recursion(x, ((els[j], ws[j]) for j in _bits(p._down[i] & ~(1 << i)))))
+        pairs, strict = [], p._down[i] ^ 1 << i
+        while strict:  # peel the lowest bit: the strict divisors, ascending
+            pairs.append((els[j := (strict & -strict).bit_length() - 1], ws[j]))
+            strict &= strict - 1
+        ws.append(_w_by_recursion(x, pairs))
     return ws
 
 
@@ -336,9 +340,9 @@ def inertia_from_psi(p: DivisorPoset) -> InertiaTriple:
 
 def structural_inertia(p: DivisorPoset) -> InertiaTriple | None:
     """Inertia with no rational arithmetic, when every element generates a
-    double chain: elements covering exactly one member count negative, the
-    rest positive, and the matrix is nonsingular.  None when some element
-    does not generate a double chain."""
+    double chain: single-cover elements count negative, the rest positive, and
+    the matrix is nonsingular; else None.  No report calls it (a report reads
+    these counts off its sign checks); it stays as the standalone route."""
     _require_gcd_closed(p)
     if not all(generates_double_chain(p, i) for i in range(p.n)):
         return None

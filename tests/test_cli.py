@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import lcmlattice
@@ -188,6 +188,15 @@ class TestAnalyze:
         assert json.loads(out)["determinant"] == expected
         code, _, err = run_cli(["analyze", "1" * (limit + 1)], capsys)  # input keeps it
         assert code == 1 and "error: not an integer" in err
+
+    def test_a_long_bad_token_is_cut_in_the_message(self, capsys):
+        token = "1" * (sys.get_int_max_str_digits() + 101)
+        code, out, err = run_cli(["analyze", "1", token], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: not an integer: '{token[:20]}'... ({len(token)} characters)\n"
+        assert len(err) < 200
+        _, _, err = run_cli(["analyze", "1", "x" * 20], capsys)  # 20 characters: shown whole
+        assert err == f"error: not an integer: '{'x' * 20}'\n"
 
 
 class TestFamily:
@@ -717,7 +726,19 @@ def test_report_equals_library(xs):
 
 
 class TestIntegerWeights:
-    """The report keeps the weights w = x * Psi as ints and forms Psi only to print it."""
+    """The report keeps the weights w = x * Psi as ints and prints Psi with no Fraction."""
+
+    @given(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 4400, 10 ** 4400)),
+           st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 4400)))
+    @example(0, 7)
+    @example(-12, 30)
+    @example(12, 30)
+    @example(-(2 ** 19900), 3 ** 9000)  # both past 4,300 digits
+    @example(6 * 10 ** 4400, 4 * 10 ** 4400)
+    @example(10 ** 4400, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_psi_printer_matches_the_fraction(self, w, x):
+        assert cli._frac(w, x) == cli._frac(Fraction(w, x))
 
     def test_psi_strings_and_signs_are_the_weights_over_the_elements(self, corpus):
         for _, p in corpus:
@@ -776,6 +797,21 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps_indent_2(self, obj):
         assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("container", [list, dict])
+    def test_values_reach_str_items_at_depth_two(self, container):
+        # _dumps quotes the str items of a list or dict in place, with no
+        # recursive call, so the strategy must reach such items below the top.
+        def str_items(obj, depth=0):
+            kids = obj if type(obj) is list else obj.values() if type(obj) is dict else ()
+            for v in kids:
+                if type(v) is str:
+                    yield type(obj), depth + 1
+                yield from str_items(v, depth + 1)
+
+        find(_JSON_VALUES, lambda obj: any(kind is container and depth >= 2
+                                           for kind, depth in str_items(obj)),
+             settings=settings(database=None, max_examples=2000))
 
     @pytest.mark.parametrize("obj", [1.5, (1, 2), {1}, {1: "a"}, {None: 1}, ["a", {"b": 0.0}]],
                              ids=["float", "tuple", "set", "int key", "None key", "nested"])

@@ -459,6 +459,25 @@ class TestSearch:
         assert search_max_iplus(8).max_iplus == 4
         assert calls[0] == 484
 
+    @pytest.mark.parametrize("args, weights", [((8,), 484), ((6, (2310,)), 7)])
+    def test_walk_passes_each_weight_its_divisors_ascending(self, monkeypatch, args, weights):
+        # The walk peels its masks bit by bit: each weight must still get the
+        # strict divisors of its element in ascending order, and the bounds
+        # must skip exactly the nodes they skipped before.
+        calls = []
+        real = families._w_by_recursion
+
+        def spy(x, lower):
+            lower = list(lower)
+            calls.append((x, [y for y, _ in lower]))
+            return real(x, lower)
+        monkeypatch.setattr(families, "_w_by_recursion", spy)
+        search_max_iplus(*args)
+        assert len(calls) == weights
+        for x, ys in calls:
+            assert ys == sorted(ys) and len(set(ys)) == len(ys)
+            assert all(x % y == 0 and y < x for y in ys)
+
     def test_single_cover_candidate_gets_no_weight_where_a_positive_is_needed(
             self, monkeypatch):
         # On the path 1 2 3 with one place left and best 1, only a positive
