@@ -461,9 +461,9 @@ class TestSearch:
 
     @pytest.mark.parametrize("args, weights", [((8,), 484), ((6, (2310,)), 7)])
     def test_walk_passes_each_weight_its_divisors_ascending(self, monkeypatch, args, weights):
-        # The walk peels its masks bit by bit: each weight must still get the
-        # strict divisors of its element in ascending order, and the bounds
-        # must skip exactly the nodes they skipped before.
+        # The walk peels its masks bit by bit: each weight must get the strict
+        # divisors of its element on the path in ascending order, and the
+        # bounds must leave the same 484 and 7 weights as test_bound_skips_most_weights.
         calls = []
         real = families._w_by_recursion
 
