@@ -1,8 +1,8 @@
 """Command line front end.
 
-Each subcommand is one entry of _COMMANDS: its help line, the function that
-adds its arguments, its handler.  main builds only the parser of the command
-it runs, and the full one for help, unknown commands and leftover arguments.
+Each subcommand is one entry of _COMMANDS, its arguments kept as data.  main
+reads a plain command line from that table with no parser built, and builds
+the argparse parser from it only for help, a usage error or any other line.
 
 Exit codes: 0 success; 1 usage, parse, or parameter errors, or a stdout
 closed before the output was written (no traceback); 2 when the input set is
@@ -18,7 +18,6 @@ rationals are strings ("30", "-4/15") for any precision, counts are numbers.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -27,6 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _quote  # C, where _json is built
+from types import SimpleNamespace
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
@@ -69,7 +69,7 @@ def _dumps(obj, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
-def _read_elements(ns: argparse.Namespace) -> list[int]:
+def _read_elements(ns: SimpleNamespace) -> list[int]:
     text_parts: list[str] = []
     tokens = list(ns.elements)
     if tokens == ["-"]:
@@ -93,6 +93,10 @@ def _read_elements(ns: argparse.Namespace) -> list[int]:
         try:
             values.append(int(t))
         except ValueError:
+            body = t.strip()  # a signed digit string: int() refused it for its length
+            if (body[1:] if body[:1] in ("+", "-") else body).isdecimal():
+                raise ValueError(f"integer too long: {len(t)} characters, past this Python's "
+                                 f"limit of {sys.get_int_max_str_digits()} digits") from None
             shown = repr(t) if len(t) <= 20 else f"{t[:20]!r}... ({len(t)} characters)"
             raise ValueError(f"not an integer: {shown}") from None
     return values
@@ -194,7 +198,7 @@ def _render_text(rep: dict) -> str:
 
 
 def _emit_report(p: DivisorPoset, original: Sequence[int], closure_applied: bool,
-                 ns: argparse.Namespace) -> int:
+                 ns: SimpleNamespace) -> int:
     rep = _build_report(p, original, closure_applied, verify=ns.verify, cap=ns.cap)
     if ns.json:
         print(_dumps(rep))
@@ -203,7 +207,7 @@ def _emit_report(p: DivisorPoset, original: Sequence[int], closure_applied: bool
     return 0
 
 
-def _read_closed_poset(ns: argparse.Namespace, use: str
+def _read_closed_poset(ns: SimpleNamespace, use: str
                        ) -> tuple[DivisorPoset, list[int], bool]:
     """The input's poset, its elements, and whether the gcd closure was taken
     (only under --close; NotGcdClosedError for an unclosed set without it)."""
@@ -217,11 +221,11 @@ def _read_closed_poset(ns: argparse.Namespace, use: str
     return build_poset(gcd_closure(xs)), xs, True
 
 
-def _cmd_analyze(ns: argparse.Namespace) -> int:
+def _cmd_analyze(ns: SimpleNamespace) -> int:
     return _emit_report(*_read_closed_poset(ns, "analyze"), ns)
 
 
-def _cmd_family(ns: argparse.Namespace) -> int:
+def _cmd_family(ns: SimpleNamespace) -> int:
     def need(*names: str) -> None:
         missing = [f"--{n}" for n in names if getattr(ns, n) is None]
         if missing:
@@ -249,7 +253,7 @@ def _cmd_family(ns: argparse.Namespace) -> int:
     return _emit_report(p, p.elements, False, ns)
 
 
-def _cmd_mobius(ns: argparse.Namespace) -> int:
+def _cmd_mobius(ns: SimpleNamespace) -> int:
     p, _, _ = _read_closed_poset(ns, "use")
     i = None if ns.column is None else p.index(ns.column)
     # One column function per method, looked up at call time so that a
@@ -284,13 +288,13 @@ def _cmd_mobius(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dot(ns: argparse.Namespace) -> int:
+def _cmd_dot(ns: SimpleNamespace) -> int:
     xs = _read_elements(ns)
     sys.stdout.write(to_dot(build_poset(xs)))
     return 0
 
 
-def _cmd_closure(ns: argparse.Namespace) -> int:
+def _cmd_closure(ns: SimpleNamespace) -> int:
     xs = _read_elements(ns)
     closed = gcd_closure(xs)
     if ns.json:
@@ -301,7 +305,7 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(ns: argparse.Namespace) -> int:
+def _cmd_search(ns: SimpleNamespace) -> int:
     if ns.universe:
         universes: tuple[int, ...] = tuple(ns.universe)
     elif ns.max_prime is not None:
@@ -334,97 +338,133 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+_JSON = ("--json", dict(action="store_true", help="emit JSON"))
+_SET = (("elements", dict(nargs="*", help="set elements (or a single '-' to read stdin)")),
+        ("--file", dict(help="read elements from a file ('-' for stdin)")))
+_REPORT = (_JSON,
+           ("--verify", dict(action="store_true",
+                             help="force oracle verification regardless of size")),
+           ("--cap", dict(type=int, default=DEFAULT_VERIFY_CAP,
+                          help="auto-verify with the oracle up to this size (default 64)")))
 
-
-def _add_set_arguments(sub: argparse.ArgumentParser, json: bool = False) -> None:
-    sub.add_argument("elements", nargs="*",
-                     help="set elements (or a single '-' to read stdin)")
-    sub.add_argument("--file", help="read elements from a file ('-' for stdin)")
-    if json:
-        sub.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _add_report_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--verify", action="store_true",
-                     help="force oracle verification regardless of size")
-    sub.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
-                     help="auto-verify with the oracle up to this size (default 64)")
-
-
-def _analyze_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_set_arguments(sub)
-    sub.add_argument("--close", action="store_true",
-                     help="analyze the gcd closure when the set is not closed")
-    _add_report_arguments(sub)
-
-
-def _family_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("kind", choices=["grid", "squarefree-pairs", "triple-prime", "cube",
-                                      "classical", "incomparable-tops"])
-    for name in "pqrmn":
-        sub.add_argument(f"--{name}", type=int)
-    sub.add_argument("--index", type=int, help="cube instance number (1-3)")
-    sub.add_argument("--primes", type=int, nargs="+")
-    _add_report_arguments(sub)
-
-
-def _mobius_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_set_arguments(sub)
-    sub.add_argument("--column", type=int, help="element value for a single column")
-    sub.add_argument("--method", choices=["recursive", "closed-form", "zeta"], default="recursive")
-    sub.add_argument("--close", action="store_true")
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _search_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="set size to search")
-    where = sub.add_mutually_exclusive_group()
-    where.add_argument("--universe", type=int, action="append",
-                       help="divisor universe, with at most 4,096 divisors (repeatable)")
-    where.add_argument("--max-prime", type=int,
-                       help="use divisors of the product of all primes up to this bound "
-                            "(at most 37: 4,096 divisors)")
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-
-
+#: Each command's help line, its arguments as add_argument's (name, keywords)
+#: pairs (a tuple of pairs is a mutually exclusive group; nargs is "*" or "+"
+#: only, for a list), and its handler.
 _COMMANDS = {
-    "analyze": ("full report for a set", _analyze_arguments, _cmd_analyze),
-    "family": ("generate a named family and report on it", _family_arguments, _cmd_family),
-    "mobius": ("Mobius table or a single column", _mobius_arguments, _cmd_mobius),
-    "dot": ("Hasse diagram as DOT", _add_set_arguments, _cmd_dot),
-    "closure": ("gcd closure of a set", partial(_add_set_arguments, json=True), _cmd_closure),
-    "search": ("max positive eigenvalue count at a size", _search_arguments, _cmd_search),
+    "analyze": ("full report for a set", (*_SET, ("--close", dict(
+        action="store_true", help="analyze the gcd closure when the set is not closed")),
+        *_REPORT), _cmd_analyze),
+    "family": ("generate a named family and report on it", (
+        ("kind", dict(choices=["grid", "squarefree-pairs", "triple-prime", "cube",
+                               "classical", "incomparable-tops"])),
+        *((f"--{name}", dict(type=int)) for name in "pqrmn"),
+        ("--index", dict(type=int, help="cube instance number (1-3)")),
+        ("--primes", dict(type=int, nargs="+")), *_REPORT), _cmd_family),
+    "mobius": ("Mobius table or a single column", (
+        *_SET, ("--column", dict(type=int, help="element value for a single column")),
+        ("--method", dict(choices=["recursive", "closed-form", "zeta"], default="recursive")),
+        ("--close", dict(action="store_true")), _JSON), _cmd_mobius),
+    "dot": ("Hasse diagram as DOT", _SET, _cmd_dot),
+    "closure": ("gcd closure of a set", (*_SET, _JSON), _cmd_closure),
+    "search": ("max positive eigenvalue count at a size", (
+        ("--n", dict(type=int, required=True, help="set size to search")),
+        (("--universe", dict(type=int, action="append",
+                             help="divisor universe, with at most 4,096 divisors (repeatable)")),
+         ("--max-prime", dict(type=int,
+                              help="use divisors of the product of all primes up to this bound "
+                                   "(at most 37: 4,096 divisors)"))),
+        _JSON), _cmd_search),
 }
 
 
-@cache  # each built on first use, once per process; parse_args keeps no state
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser main runs a command with; with none, the full one, for help and errors."""
-    if command:
-        parser = _Parser(prog=f"lcmlattice {command}")
-    else:
-        parser = _Parser(prog="lcmlattice", description="Exact divisibility-order analysis "
-                         "of integer sets and their GCD/LCM matrices.")
-        subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
-        if command in (None, name):
-            sub = parser if command else subs.add_parser(name, help=help_line)
-            add_arguments(sub)
-            sub.set_defaults(func=handler)
+def _fast_parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The full parser's namespace for a plain command line, with no parser
+    built: a known command, options by their full names, each value its own
+    token, the positionals in one run.  None for anything else (help, an
+    abbreviation, --x=y, any other token that starts with '-', a bad, missing
+    or conflicting value)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, arguments, handler = _COMMANDS[argv[0]]
+    ns, spec, positional = {"command": argv[0], "func": handler}, {}, ("", {})
+    for entry in arguments:
+        for name, kw in entry if isinstance(entry[0], tuple) else (entry,):
+            dest = name.lstrip("-").replace("-", "_")
+            ns[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
+            spec[name] = dest, kw
+            if not name.startswith("-"):
+                positional = dest, kw
+
+    def value(kw: dict, token: str):
+        v = kw.get("type", str)(token)
+        if v not in kw.get("choices", [v]):
+            raise ValueError(token)
+        return v
+
+    segments = [[]]  # the plain tokens after the command, then each option with those after it
+    for token in argv[1:]:
+        if token.startswith("-"):
+            segments.append([])
+        segments[-1].append(token)
+    run, given = segments[0], set()  # run: the positionals
+    try:
+        for name, *plain in segments[1:]:
+            if name not in spec:
+                return None
+            given.add(name)
+            dest, kw = spec[name]
+            if kw.get("action") == "store_true":
+                ns[dest] = True
+            elif not plain:
+                return None
+            else:  # one value, or with nargs every plain token that follows
+                values = [value(kw, t) for t in (plain if "nargs" in kw else plain[:1])]
+                plain = plain[len(values):]
+                ns[dest] = (values if "nargs" in kw else (ns[dest] or []) + values
+                            if kw.get("action") == "append" else values[0])
+            if plain and run:  # positionals in two runs
+                return None
+            run = run or plain
+        dest, kw = positional
+        if len(run) != bool(dest) and "nargs" not in kw:
+            return None  # not one token for a single positional, or any for none
+        if dest:
+            values = [value(kw, t) for t in run]
+            ns[dest] = values if "nargs" in kw else values[0]
+    except ValueError:  # a value of the wrong type or not among the choices
+        return None
+    if any(kw.get("required") and name not in given for name, (_, kw) in spec.items()) \
+            or any(isinstance(e[0], tuple) and len(given & dict(e).keys()) > 1 for e in arguments):
+        return None  # a required option missing, or two of a group given
+    return SimpleNamespace(**ns)
+
+
+@cache  # built on first use, once per process; parse_args keeps no state
+def _build_parser():
+    """The full parser from _COMMANDS: it alone prints help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # usage problems exit 1, not argparse's 2
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(prog="lcmlattice", description="Exact divisibility-order analysis "
+                     "of integer sets and their GCD/LCM matrices.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, arguments, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        for entry in arguments:
+            group = sub.add_mutually_exclusive_group() if isinstance(entry[0], tuple) else None
+            for arg, kw in entry if group else (entry,):
+                (group or sub).add_argument(arg, **kw)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns, rest = (_build_parser(argv[0]).parse_known_args(argv[1:])
-                if argv and argv[0] in _COMMANDS else (None, None))
-    if ns is None or rest:  # the full parser words the help or the error
-        ns = _build_parser().parse_args(argv)
+    ns = _fast_parse(argv) or _build_parser().parse_args(argv, SimpleNamespace())
     try:
         code = ns.func(ns)
         sys.stdout.flush()

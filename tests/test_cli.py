@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import event, example, find, given, settings
 from hypothesis import strategies as st
 
 import lcmlattice
@@ -186,11 +186,14 @@ class TestAnalyze:
         finally:
             sys.set_int_max_str_digits(limit)
         assert json.loads(out)["determinant"] == expected
-        code, _, err = run_cli(["analyze", "1" * (limit + 1)], capsys)  # input keeps it
-        assert code == 1 and "error: not an integer" in err
+        for token in ["1" * (limit + 1), "-" + "1" * (limit + 1)]:  # input keeps the limit
+            code, out, err = run_cli(["analyze", "1", "--", token], capsys)
+            assert code == 1 and out == ""
+            assert err == (f"error: integer too long: {len(token)} characters, "
+                           f"past this Python's limit of {limit} digits\n")
 
     def test_a_long_bad_token_is_cut_in_the_message(self, capsys):
-        token = "1" * (sys.get_int_max_str_digits() + 101)
+        token = "1" * (sys.get_int_max_str_digits() + 100) + "x"
         code, out, err = run_cli(["analyze", "1", token], capsys)
         assert code == 1 and out == ""
         assert err == f"error: not an integer: '{token[:20]}'... ({len(token)} characters)\n"
@@ -531,20 +534,112 @@ def _exit(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "none")
 def test_help_and_usage_errors_are_the_full_parsers(argv, capsys):
-    # main parses a known command with that command's parser alone, and goes
-    # to the full parser for help, an unknown command or leftover arguments.
+    # main reads a plain command line from the command table and goes to the
+    # full parser for help and for anything else.
+    assert cli._fast_parse(argv) is None
     assert _exit(cli.main, argv, capsys) == _exit(cli._build_parser().parse_args, argv, capsys)
 
 
-def test_a_valid_command_builds_only_its_own_parser(capsys, monkeypatch):
-    built, build = [], cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser",
-                        lambda *command: built.append(command) or build(*command))
-    build.cache_clear()
+def test_a_valid_command_builds_no_parser(capsys):
+    cli._build_parser.cache_clear()
     assert run_cli(["search", "--json", "--n", "4", "--universe", "210"], capsys)[0] == 0
     assert run_cli(["analyze", "--json", *CUBE], capsys)[0] == 0
-    assert built == [("search",), ("analyze",)]
-    assert build.cache_info().currsize == 2
+    assert cli._build_parser.cache_info().currsize == 0
+
+
+def test_valid_commands_import_no_argparse():
+    # argparse's first parser imports gettext and locale; -S keeps site hooks
+    # from loading any of them.
+    src = Path(lcmlattice.__file__).parents[1]
+    commands = [["analyze", "--json", *CUBE],
+                ["search", "--json", "--n", "4", "--universe", "210"]]
+    script = ("import contextlib, io, sys\n"
+              "from lcmlattice import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
+              "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] []\n", "")
+
+
+def _full_parse(argv):
+    with contextlib.redirect_stderr(io.StringIO()):  # a usage error fails the test
+        return vars(cli._build_parser().parse_args(list(argv)))
+
+
+def _options(command):
+    return [name for entry in cli._COMMANDS[command][1]
+            for name, _ in (entry if isinstance(entry[0], tuple) else (entry,))
+            if name.startswith("-")]
+
+
+_OPTIONS = sorted({name for command in cli._COMMANDS for name in _options(command)})
+_VALUES = ["1", "2", "6", "30", "210", "grid", "cube", "classical", "zeta", "closed-form"]
+_ODD = ["0", "x", "1.5", "", " 7", "+3", "1_0", "٣", "-5", "-", "--", "--cap=3", "--ver", "-h",
+        "--help", "--nope", *_OPTIONS]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_fast_parse_agrees_with_the_full_parser(data):
+    # The command's own options and good values, with at most one bad value,
+    # odd spelling or other command's option put in.
+    command = data.draw(st.sampled_from([*cli._COMMANDS, "bogus", "-h"]))
+    own = _options(command) if command in cli._COMMANDS else _OPTIONS
+    tokens = data.draw(st.lists(st.sampled_from(own) | st.sampled_from(_VALUES), max_size=8))
+    for odd in data.draw(st.lists(st.sampled_from(_ODD), max_size=1)):
+        tokens.insert(data.draw(st.integers(0, len(tokens))), odd)
+    fast = cli._fast_parse([command, *tokens])
+    event("read with no parser" if fast else "left to the full parser")
+    if fast is not None:
+        assert vars(fast) == _full_parse([command, *tokens])
+
+
+#: Command lines that the CI workflow, the README and the benchmark run: each is
+#: read with no parser built.  (The CI line that reads stdin through '-' is
+#: left out: '-' goes to the full parser.)
+_PLAIN_ARGVS = [line.split() for line in [
+    # CI
+    "analyze --json 1 2 3 5 6 10 15 30", "search --json --n 6 --universe 2310",
+    "family cube --index 2 --json", "search --json --n 64 --universe 30030",
+    "analyze --verify --json 1 2 3 5 11 70 78 255 418 759 1595 46410",
+    "search --json --n 2 --universe 1000000000000000000",
+    "analyze --json --verify --close " + " ".join(map(str, range(1, 121))),
+    "family grid --p 2 --q 3 --m 16 --verify --json", "family grid --p 2 --q 3 --m 8 --json",
+    "family grid --p 2 --q 3 --m 8 --json --cap 0",
+    "analyze --json --cap 0 1 2 3 4 6 9 12 18 36", "search --json --n 2 --max-prime 37",
+    "family grid --p 1000000000000000003 --q 3 --m 2 --json",
+    "closure --json 6 10 15", "mobius --json 1 2 3 4 6 9 12 18 36",
+    "mobius --json --method closed-form 1 2 3 4 6 9 12 18 36",
+    "mobius --json --method zeta --column 36 1 2 3 4 6 9 36",
+    "search --json --n 6 --universe 2310 --universe 30",
+    "family triple-prime --primes 5 7 11 --q 2 --r 3 --m 4",
+    # README
+    "analyze 1 2 3 5 6 10 15 30", "analyze --json 1 2 15 42 --close",
+    "family grid --p 2 --q 3 --m 4 --json",
+    "mobius 1 2 3 4 6 9 36 --column 36 --method closed-form",
+    "dot 1 2 3 6", "closure 2 3", "search --n 6",
+    # the benchmark's operations
+    "analyze --json --close 2 3 5 7 11", "mobius --json --method recursive 1 2 3 6",
+    "search --json --n 8"]]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGVS, ids=lambda argv: " ".join(argv)[:60])
+def test_plain_command_lines_are_read_with_no_parser(argv):
+    fast = cli._fast_parse(argv)
+    assert fast is not None and vars(fast) == _full_parse(argv)
+
+
+@pytest.mark.parametrize("plain, other, stdin", [
+    (["analyze", "--json", "--cap", "0", *CUBE], ["analyze", "--json", "--cap=0", *CUBE], None),
+    (["analyze", "--verify", "1", "2", "6"], ["analyze", "--ver", "1", "2", "6"], None),
+    (["analyze", "--json", *CUBE], ["analyze", "--json", "-"], " ".join(CUBE)),
+], ids=["equals", "abbreviation", "stdin"])
+def test_other_spellings_run_through_the_full_parser(capsys, monkeypatch, plain, other, stdin):
+    assert cli._fast_parse(other) is None
+    assert run_cli(other, capsys, monkeypatch, stdin)[:2] == run_cli(plain, capsys)[:2]
 
 
 def test_console_script_entry_point():
