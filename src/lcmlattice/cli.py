@@ -10,7 +10,7 @@ not gcd closed and --close was not given; 3 when two independent routes to
 the same result disagreed (a fault in the program, not the input).  A report
 keeps each weight w_k = x_k * Psi_k an int and prints Psi_k with no Fraction.
 Up to --cap elements, or with --verify, pivot k of one exact elimination of
-the LCM matrix must be x_k * w_k; else psi's Mobius sum checks w_k.
+the LCM matrix must be x_k * w_k; else the Mobius sum checks w_k.
 
 JSON output has json.dumps(indent=2)'s layout, from one writer; elements and
 rationals are strings ("30", "-4/15") for any precision, counts are numbers.
@@ -30,12 +30,12 @@ from types import SimpleNamespace
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
     is_meet_tree, is_r_fold_gcd_closed
-from .families import _MAX_UNIVERSE_DIVISORS, DEFAULT_SEARCH_UNIVERSES, BadParamsError, \
-    classical_set, cube_instances, grid_family, incomparable_tops_instance, is_cube_isomorphic, \
-    search_max_iplus, squarefree_pairs_family, triple_prime_family, is_prime
+from .families import _MAX_UNIVERSE_DIVISORS, BadParamsError, classical_set, cube_instances, \
+    grid_family, incomparable_tops_instance, is_cube_isomorphic, search_max_iplus, \
+    squarefree_pairs_family, triple_prime_family, is_prime
 from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
-from .matrices import InertiaTriple, NotGcdClosedError, VerificationError, _weights, \
-    lcm_congruence_oracle, psi
+from .matrices import InertiaTriple, NotGcdClosedError, VerificationError, \
+    _checked_by_mobius, _weights, lcm_congruence_oracle
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
 
 DEFAULT_VERIFY_CAP = 64
@@ -106,7 +106,7 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
                   closure_applied: bool, verify: bool, cap: int) -> dict:
     oracle = verify or p.n <= cap
     els = p.elements
-    ws = _weights(p) if oracle else [int(x * v) for x, v in zip(els, psi(p))]
+    ws = _weights(p) if oracle else _checked_by_mobius(p, _weights(p))
     strs = [str(x) for x in els]
     per_element = []
     for i, (x, w) in enumerate(zip(els, ws)):
@@ -177,7 +177,7 @@ def _render_text(rep: dict) -> str:
                 f"  mobius {rec['mobius_source']}"
                 f"  psi {rec['psi']} ({rec['psi_sign']})")
         lines.append(head)
-        if rec["generates_double_chain"] and rec["eta"] is not None and rec["eta"]:
+        if rec["eta"]:
             eta = " ".join(f"{k}:{v}" for k, v in rec["eta"].items())
             extra = (f"      chains A [{' '.join(rec['chain_a'])}]"
                      f" B [{' '.join(rec['chain_b'])}]  eta {{{eta}}}")
@@ -306,9 +306,8 @@ def _cmd_closure(ns: SimpleNamespace) -> int:
 
 
 def _cmd_search(ns: SimpleNamespace) -> int:
-    if ns.universe:
-        universes: tuple[int, ...] = tuple(ns.universe)
-    elif ns.max_prime is not None:
+    universes = ns.universe  # None: search_max_iplus takes its default universes
+    if ns.max_prime is not None:
         # The product of k primes has 2^k divisors, so the count of primes
         # decides before anything is multiplied; it stops at the primes up
         # to 1000, past which the count given is a floor.
@@ -320,8 +319,6 @@ def _cmd_search(ns: SimpleNamespace) -> int:
                 f"the product of the primes up to {p} has {floor}{1 << len(primes)} "
                 f"divisors, more than the {_MAX_UNIVERSE_DIVISORS} allowed")
         universes = (math.prod(primes),)
-    else:
-        universes = DEFAULT_SEARCH_UNIVERSES
     res = search_max_iplus(ns.n, universes)
     if ns.json:
         print(_dumps({

@@ -47,8 +47,8 @@ def _positive_ints(xs: Iterable[int]) -> list[int]:
         raise EmptyInputError("need at least one positive integer")
     for x in xs:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise NonPositiveElementError(
-                f"elements must be positive integers, got {x!r}")
+            shown = r if len(r := repr(x)) <= 20 else f"{r[:20]}... ({len(r)} characters)"
+            raise NonPositiveElementError(f"elements must be positive integers, got {shown}")
     return xs
 
 
@@ -167,9 +167,6 @@ class SubPoset(namedtuple("SubPoset", "parent members")):
 
     def values(self) -> tuple[int, ...]:
         return tuple(self.parent.elements[m] for m in self.members)
-
-    def leq(self, j: int, i: int) -> bool:
-        return self.parent.leq(j, i)
 
     def covered(self, i: int) -> tuple[int, ...]:
         """Indices covered by member i inside this sub-poset; KeyError if none."""

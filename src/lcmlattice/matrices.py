@@ -169,16 +169,20 @@ def power_lcm_matrix(p: DivisorPoset, alpha: int) -> ExactMatrix:
 
 def psi(p: DivisorPoset) -> PsiVector:
     """Exact Psi values w_i / x_i, the integers w_i = x_i * Psi_i of _weights
-    each checked against the equivalent Mobius sum, in integers: sum of
-    mu(x_j, x_i) * (x_i / x_j) over the divisors x_j of x_i;
-    VerificationError if the two disagree."""
-    ws = _weights(p)
+    checked by _checked_by_mobius."""
+    return PsiVector(p, tuple(map(Fraction, _checked_by_mobius(p, _weights(p)), p.elements)))
+
+
+def _checked_by_mobius(p: DivisorPoset, ws: list[int]) -> list[int]:
+    """ws, each w_i = x_i * Psi_i checked against the equivalent Mobius sum,
+    in integers: sum of mu(x_j, x_i) * (x_i / x_j) over the divisors x_j of
+    x_i; VerificationError if the two disagree."""
     els = p.elements
     mu = mobius_recursive(p)
     for i, (x, w) in enumerate(zip(els, ws)):
         _verify(sum(mu[j, i] * (x // els[j]) for j in _bits(p._down[i])) == w,
                 "the two Psi definitions disagreed at %s", x)
-    return PsiVector(p, tuple(map(Fraction, ws, els)))
+    return ws
 
 
 def _weights(p: DivisorPoset) -> list[int]:

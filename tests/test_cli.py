@@ -143,8 +143,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("flags, calls", [([], 0), (["--verify"], 0), (["--cap", "0"], 1)])
     def test_moebius_table_only_where_no_oracle_runs(self, capsys, monkeypatch, flags, calls):
         # The oracle's pivots check every weight, so a report at or below the
-        # cap builds no Mobius table; with --cap 0, psi builds one to check them.
-        real, seen = moebius.mobius_recursive, []
+        # cap builds no Mobius table; with --cap 0, one table checks them.
+        # Either way the report takes its weights as ints and never calls psi.
+        real, real_psi, seen, psi_calls = moebius.mobius_recursive, matrices.psi, [], []
 
         def spy(p):
             seen.append(p)
@@ -152,10 +153,12 @@ class TestAnalyze:
 
         for module in (matrices, moebius, cli):
             monkeypatch.setattr(module, "mobius_recursive", spy)
+        monkeypatch.setattr(matrices, "psi", lambda p: psi_calls.append(p) or real_psi(p))
         code, _, _ = run_cli(["family", "grid", "--p", "2", "--q", "3", "--m", "8",
                               "--json", *flags], capsys)
         assert code == 0
         assert len(seen) == calls
+        assert psi_calls == []
 
     def test_each_core_is_built_once_per_route(self, capsys, monkeypatch):
         real = doublechain.meet_closure
@@ -200,6 +203,17 @@ class TestAnalyze:
         assert len(err) < 200
         _, _, err = run_cli(["analyze", "1", "x" * 20], capsys)  # 20 characters: shown whole
         assert err == f"error: not an integer: '{'x' * 20}'\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "closure", "dot"])
+    def test_a_long_rejected_element_is_cut_in_the_message(self, capsys, command):
+        # A negative integer of 4,300 digits reads as an int, so the poset's
+        # own check rejects it and shows 20 characters of it and its length.
+        token = "-" + "1" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+        code, out, err = run_cli([command, "1", "--", token], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: elements must be positive integers, "
+                       f"got {token[:20]}... ({len(token)} characters)\n")
+        assert len(err) < 200
 
 
 class TestFamily:
@@ -720,8 +734,9 @@ def test_a_generator_weight_of_the_wrong_sign_exits_three(flags, cap, factor):
     # The cube's top generates no double chain; 6 does, covers two members
     # and weighs 2.  Every divisor of 36 generates, so above the cap the sign
     # counts are reported as the structural inertia; 2 covers one member and
-    # weighs -1.  Each route to the weights is patched, so the sign check, not
-    # psi's second route or the oracle, is what fails.
+    # weighs -1.  The weights are patched and the Mobius check passes them
+    # through, so the sign check, not the Mobius sum or the oracle, is what
+    # fails.
     cube, all_generate = build_poset(map(int, CUBE)), build_poset(divisors(36))
     assert generates_double_chain(cube, 4) and not generates_double_chain(cube, 7)
     assert all(generates_double_chain(all_generate, i) for i in range(all_generate.n))
@@ -735,7 +750,8 @@ def test_a_generator_weight_of_the_wrong_sign_exits_three(flags, cap, factor):
                   f"        vs[p.index({x})] *= {factor}\n"
                   "        return vs\n"
                   "    return route\n"
-                  "cli._weights, cli.psi = flip(cli._weights), flip(cli.psi)\n"
+                  "cli._weights = flip(cli._weights)\n"
+                  "cli._checked_by_mobius = lambda p, ws: ws\n"
                   f"sys.exit(cli.main(['analyze', *{cap!r}, *{xs!r}]))\n")
         proc = subprocess.run(
             [sys.executable, *flags, "-c", script],
@@ -858,7 +874,7 @@ class TestIntegerWeights:
     def test_a_weight_off_by_one_exits_three(self, capsys, monkeypatch, flags, failure):
         # Cube 2's top weighs 0, so raising the weight 12 of 66 by one keeps
         # the determinant at 0 and every sign: at the cap only the oracle's
-        # pivots see it, with --cap 0 only psi's Mobius sum.
+        # pivots see it, with --cap 0 only the Mobius sum.
         real = matrices._weights
 
         def off_by_one(p):

@@ -35,7 +35,7 @@ def two_chain_partition_exists(sp: SubPoset) -> bool:
     assert len(ms) <= 12
 
     def is_chain(seq):
-        return all(sp.leq(a, b) for a, b in zip(seq, seq[1:]))
+        return all(sp.parent.leq(a, b) for a, b in zip(seq, seq[1:]))
 
     for mask in range(1 << len(ms)):
         a = [ms[k] for k in range(len(ms)) if mask >> k & 1]

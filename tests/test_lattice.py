@@ -34,7 +34,7 @@ def exhaustive_width(sp: SubPoset) -> int:
     best = 0
     for mask in range(1 << len(ms)):
         chosen = [ms[k] for k in range(len(ms)) if mask >> k & 1]
-        if all(not (sp.leq(a, b) or sp.leq(b, a))
+        if all(not (sp.parent.leq(a, b) or sp.parent.leq(b, a))
                for a, b in combinations(chosen, 2)):
             best = max(best, len(chosen))
     return best
@@ -88,6 +88,17 @@ class TestConstruction:
             build_poset([1, 2.5])  # type: ignore[list-item]
         with pytest.raises(NonPositiveElementError):
             build_poset([True, 2])  # type: ignore[list-item]
+
+    @pytest.mark.parametrize("x, shown", [
+        (0, "0"), ("a", "'a'"), (-10 ** 18, "-1000000000000000000"),  # 20 characters
+        (-10 ** 19, "-1000000000000000000... (21 characters)"),
+        ("b" * 30, "'bbbbbbbbbbbbbbbbbbb... (32 characters)"),
+    ])
+    def test_a_rejected_element_longer_than_20_characters_is_cut(self, x, shown):
+        for route in (build_poset, gcd_closure):
+            with pytest.raises(NonPositiveElementError) as exc:
+                route([1, x])
+            assert str(exc.value) == f"elements must be positive integers, got {shown}"
 
     def test_dedupe_and_sort(self):
         p = build_poset([6, 2, 1, 6, 3, 2])

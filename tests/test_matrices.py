@@ -604,7 +604,8 @@ class TestCharpolyOracle:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an oracle reached the Psi route")
-        for module, name in [(matrices, "psi"), (matrices, "_w_by_recursion"),
+        for module, name in [(matrices, "psi"), (matrices, "_checked_by_mobius"),
+                             (matrices, "_w_by_recursion"),
                              (matrices, "_w_by_crosscut"),
                              (matrices, "mobius_recursive"),
                              (moebius, "mobius_recursive")]:
