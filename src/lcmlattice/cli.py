@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _quote  # C, where _json is built
@@ -33,7 +32,7 @@ from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_se
 from .families import _MAX_UNIVERSE_DIVISORS, BadParamsError, classical_set, cube_instances, \
     grid_family, incomparable_tops_instance, is_cube_isomorphic, search_max_iplus, \
     squarefree_pairs_family, triple_prime_family, is_prime
-from .lattice import DivisorPoset, _verify, build_poset, gcd_closure, to_dot
+from .lattice import DivisorPoset, _shown, _verify, build_poset, gcd_closure, to_dot
 from .matrices import InertiaTriple, NotGcdClosedError, VerificationError, \
     _checked_by_mobius, _weights, lcm_congruence_oracle
 from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse
@@ -42,9 +41,9 @@ DEFAULT_VERIFY_CAP = 64
 
 
 def _frac(f: Fraction | int, den: int = 1) -> str:
-    # f / den (den > 0) in lowest terms; Decimal prints any int, str stops at 4300 digits.
+    # f / den (den > 0) in lowest terms; _shown prints any int, str stops at 4300 digits.
     g = math.gcd(f.numerator, den)  # f.denominator is coprime to f.numerator
-    return f"{Decimal(f.numerator // g)}/{Decimal(f.denominator * den // g)}"
+    return f"{_shown(f.numerator // g)}/{_shown(f.denominator * den // g)}"
 
 
 def _dumps(obj, indent: str = "\n") -> str:

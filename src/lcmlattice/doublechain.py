@@ -15,6 +15,7 @@ from .lattice import (
     DivisorPoset,
     SubPoset,
     _covers,
+    _shown,
     _verify,
     gcd_closure,
     meet,
@@ -116,7 +117,7 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
     split = _split_into_chains(p, core)
     if split is None:
         raise NotDoubleChainGeneratorError(
-            f"element {p.elements[i]}: core of its covered set has width > 2")
+            f"element {_shown(p.elements[i])}: core of its covered set has width > 2")
     chain_a, chain_b = split
 
     # C is an antichain, so what a cover z covers inside core + C lies in the core.
@@ -196,6 +197,6 @@ def is_r_fold_gcd_closed(p: DivisorPoset, r: int) -> bool:
     divisor chain and the suffix minima of its lowest meets once."""
     n = p.n
     if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= n - 1:
-        raise BadFoldCountError(f"fold count must be an integer in 0..{n - 1}, got {r!r}")
+        raise BadFoldCountError(f"fold count must be an integer in 0..{n - 1}, got {_shown(r)}")
     chain, low = p._fold_bounds
     return r <= chain and low[r] >= r

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .lattice import DivisorPoset, _covers, _verify
+from .lattice import DivisorPoset, _covers, _shown, _verify
 from .matrices import _w_by_crosscut, _w_by_recursion
 
 
@@ -64,7 +64,7 @@ def is_prime(n: int) -> bool:
             return False
     if n >= _MILLER_RABIN_LIMIT:
         raise BadParamsError(
-            f"cannot decide whether {n} is prime: the primality test is exact "
+            f"cannot decide whether {_shown(n)} is prime: the primality test is exact "
             f"only below {_MILLER_RABIN_LIMIT}")
     return True
 
@@ -72,9 +72,10 @@ def is_prime(n: int) -> bool:
 def _require_distinct_primes(values: Sequence[int], what: str) -> None:
     for v in values:
         if not is_prime(v):
-            raise BadParamsError(f"{what} must be prime, got {v!r}")
+            raise BadParamsError(f"{what} must be prime, got {_shown(v)}")
     if len(set(values)) != len(values):
-        raise BadParamsError(f"{what} must be pairwise distinct: {list(values)}")
+        raise BadParamsError(f"{what} must be pairwise distinct: "
+                             f"[{', '.join(map(_shown, values))}]")
 
 
 #: Trial division tries only the divisors below this bound; Pollard's rho
@@ -96,7 +97,7 @@ def _factor(n: int) -> list[tuple[int, int]]:
     bound, rho gets _RHO_BUDGET steps, and a part they do not split is refused
     (BadParamsError), as is a part is_prime cannot decide."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadParamsError(f"need a positive integer, got {n!r}")
+        raise BadParamsError(f"need a positive integer, got {_shown(n)}")
     exps: dict[int, int] = {}
     rest, d = n, 2
     while d < _TRIAL_DIVISION_BOUND and d * d <= rest:
@@ -111,24 +112,17 @@ def _factor(n: int) -> list[tuple[int, int]]:
             continue
         f = _rho_factor(m, _RHO_BUDGET if m >= _MILLER_RABIN_LIMIT else math.inf)
         if f is None:
-            raise BadParamsError(f"cannot factor {m}: it is composite, but "
+            raise BadParamsError(f"cannot factor {_shown(m)}: it is composite, but "
                                  f"{_RHO_BUDGET} steps of Pollard's rho found no factor")
         parts += [f, m // f]
     return sorted(exps.items())
 
 
-#: Rho steps whose differences are multiplied together, mod n, before one gcd.
-_RHO_BATCH = 128
-
-
 def _rho_factor(n: int, budget: float) -> int | None:
     """A proper factor of an odd composite n, by Pollard's rho with Brent's
-    cycle finding and batched gcds (R. P. Brent, BIT 20, 1980): the map
-    y -> y^2 + c from the fixed start y = 2, with the next c when a run ends
-    in n itself.  Up to _RHO_BATCH differences x - y share one gcd; when it
-    is n, the batch is retraced step by step from its saved y, so the first
-    step with a gcd above 1 decides, as with one gcd per step.  None when
-    ``budget`` steps in all find no factor."""
+    cycle finding (R. P. Brent, BIT 20, 1980): the map y -> y^2 + c from the
+    fixed start y = 2, one gcd(x - y, n) per step, and the next c when that
+    gcd is n itself.  None when ``budget`` steps in all find no factor."""
     c = 1
     while True:
         x = y = 2
@@ -138,20 +132,10 @@ def _rho_factor(n: int, budget: float) -> int | None:
                 return None
             if steps == power:
                 x, power, steps = y, 2 * power, 0
-            size = min(_RHO_BATCH, power - steps, budget)
-            saved, q = y, 1
-            for _ in range(size):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = math.gcd(q, n)
-            if g == n:
-                y, g, size = saved, 1, 0
-                while g == 1:
-                    y = (y * y + c) % n
-                    size += 1
-                    g = math.gcd(x - y, n)
-            budget -= size
-            steps += size
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+            budget -= 1
+            steps += 1
         if g != n:
             return g
         c += 1
@@ -173,7 +157,7 @@ def grid_family(p: int, q: int, m: int) -> DivisorPoset:
     """All products p^k q^l with exponents below m (an m-by-m divisor grid)."""
     _require_distinct_primes([p, q], "grid primes")
     if not isinstance(m, int) or m < 2:
-        raise BadParamsError(f"grid needs integer m >= 2, got {m!r}")
+        raise BadParamsError(f"grid needs integer m >= 2, got {_shown(m)}")
     return DivisorPoset(p ** k * q ** l for k in range(m) for l in range(m))
 
 
@@ -196,7 +180,7 @@ def triple_prime_family(primes: Sequence[int], q: int, r: int, m: int) -> Diviso
     """
     primes = list(primes)
     if not isinstance(m, int) or m < 2:
-        raise BadParamsError(f"needs integer m >= 2, got {m!r}")
+        raise BadParamsError(f"needs integer m >= 2, got {_shown(m)}")
     if len(primes) < m:
         raise BadParamsError(f"needs at least {m} block primes, got {len(primes)}")
     primes = primes[:m]
@@ -222,7 +206,7 @@ def cube_instances() -> tuple[DivisorPoset, DivisorPoset, DivisorPoset]:
 def classical_set(n: int) -> DivisorPoset:
     """The first n positive integers."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadParamsError(f"need integer n >= 1, got {n!r}")
+        raise BadParamsError(f"need integer n >= 1, got {_shown(n)}")
     return DivisorPoset(range(1, n + 1))
 
 
@@ -353,7 +337,7 @@ def _universe_poset(universe: int) -> DivisorPoset:
     pairs = _factor(universe)
     count = math.prod(e + 1 for _, e in pairs)
     if count > _MAX_UNIVERSE_DIVISORS:
-        raise BadParamsError(f"universe {universe} has {count} divisors, more than "
+        raise BadParamsError(f"universe {_shown(universe)} has {count} divisors, more than "
                              f"the {_MAX_UNIVERSE_DIVISORS} allowed")
     return DivisorPoset(_divisors_of(pairs))
 
@@ -363,7 +347,7 @@ def enumerate_gcd_closed(universe: int, size: int) -> Iterator[DivisorPoset]:
     exactly ``size`` elements, in lexicographic order of their element lists
     (at most 4,096 divisors, else BadParamsError)."""
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise BadParamsError(f"need integer size >= 1, got {size!r}")
+        raise BadParamsError(f"need integer size >= 1, got {_shown(size)}")
     u = _universe_poset(universe)
     for idxs, _ in _closed_index_subsets(u, size):
         yield DivisorPoset(u.elements[i] for i in idxs)
@@ -391,7 +375,7 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
     4,096 divisors (BadParamsError).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadParamsError(f"need integer n >= 1, got {n!r}")
+        raise BadParamsError(f"need integer n >= 1, got {_shown(n)}")
     universes = tuple(universes) if universes is not None else DEFAULT_SEARCH_UNIVERSES
     if not universes:
         raise BadParamsError("need at least one universe")
@@ -406,7 +390,8 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
             witness = tuple(p.elements[i] for i in idxs)
     if witness is None:
         raise BadParamsError(
-            f"no gcd-closed subset of size {n} inside universes {list(universes)}")
+            f"no gcd-closed subset of size {_shown(n)} inside universes "
+            f"[{', '.join(map(_shown, universes))}]")
     return SearchResult(n, universes, best, DivisorPoset(witness))
 
 

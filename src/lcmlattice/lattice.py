@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
+from decimal import Decimal
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 
@@ -34,10 +35,16 @@ class VerificationError(Exception):
     """
 
 
+def _shown(v) -> str:
+    """v for a message: an int (not a bool) through Decimal, which prints any
+    size where str stops at the interpreter's digit limit; else repr(v)."""
+    return str(Decimal(v)) if isinstance(v, int) and not isinstance(v, bool) else repr(v)
+
+
 def _verify(ok: bool, failure: str, *args) -> None:
-    """The one check path: raise VerificationError(failure % args) unless ok."""
+    """The one check path: raise VerificationError(failure % args) unless ok; args by _shown."""
     if not ok:
-        raise VerificationError(failure % args)
+        raise VerificationError(failure % tuple(map(_shown, args)))
 
 
 def _positive_ints(xs: Iterable[int]) -> list[int]:
@@ -47,7 +54,7 @@ def _positive_ints(xs: Iterable[int]) -> list[int]:
         raise EmptyInputError("need at least one positive integer")
     for x in xs:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            shown = r if len(r := repr(x)) <= 20 else f"{r[:20]}... ({len(r)} characters)"
+            shown = r if len(r := _shown(x)) <= 20 else f"{r[:20]}... ({len(r)} characters)"
             raise NonPositiveElementError(f"elements must be positive integers, got {shown}")
     return xs
 
@@ -110,7 +117,7 @@ class DivisorPoset:
         try:
             return self._index[value]
         except KeyError:
-            raise ValueError(f"{value} is not an element of the set") from None
+            raise ValueError(f"{_shown(value)} is not an element of the set") from None
 
     def __contains__(self, value: int) -> bool:
         return value in self._index
@@ -154,7 +161,7 @@ class SubPoset(namedtuple("SubPoset", "parent members")):
         members = tuple(sorted(set(members)))
         for m in members:
             if not 0 <= m < parent.n:
-                raise ValueError(f"index {m} outside parent poset")
+                raise ValueError(f"index {_shown(m)} outside parent poset")
         return super().__new__(cls, parent, members)
 
     @property
@@ -235,11 +242,10 @@ def gcd_closure(xs: Iterable[int]) -> tuple[int, ...]:
 
 def meet(p: DivisorPoset, i: int, j: int) -> int:
     """Index of gcd(x_i, x_j); MeetOutsideSetError if that gcd is not a member."""
-    g = math.gcd(p.elements[i], p.elements[j])
-    k = p._index.get(g)
+    x, y = p.elements[i], p.elements[j]
+    k = p._index.get(g := math.gcd(x, y))
     if k is None:
-        raise MeetOutsideSetError(
-            f"gcd({p.elements[i]}, {p.elements[j]}) = {g} is not in the set")
+        raise MeetOutsideSetError(f"gcd({_shown(x)}, {_shown(y)}) = {_shown(g)} is not in the set")
     return k
 
 
@@ -252,7 +258,7 @@ def meet_closure(p: DivisorPoset, subset: Iterable[int]) -> tuple[int, ...]:
     subset = list(subset)
     for m in subset:
         if not 0 <= m < p.n:
-            raise ValueError(f"index {m} outside poset")
+            raise ValueError(f"index {_shown(m)} outside poset")
     return _close(subset, partial(meet, p))
 
 

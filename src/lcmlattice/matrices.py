@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .doublechain import NotDoubleChainGeneratorError, generates_double_chain
-from .lattice import DivisorPoset, VerificationError, _PosetValues, _bits, _verify
+from .lattice import DivisorPoset, VerificationError, _PosetValues, _bits, _shown, _verify
 from .moebius import mobius_recursive
 
 
@@ -160,9 +160,9 @@ def reciprocal_gcd_matrix(p: DivisorPoset) -> ExactMatrix:
 def power_lcm_matrix(p: DivisorPoset, alpha: int) -> ExactMatrix:
     """Matrix of pairwise lcms raised to a non-negative integer power."""
     if not isinstance(alpha, int) or isinstance(alpha, bool):
-        raise NonIntegerExponentError(f"exponent must be an integer, got {alpha!r}")
+        raise NonIntegerExponentError(f"exponent must be an integer, got {_shown(alpha)}")
     if alpha < 0:
-        raise NonIntegerExponentError(f"exponent must be non-negative, got {alpha}")
+        raise NonIntegerExponentError(f"exponent must be non-negative, got {_shown(alpha)}")
     els = p.elements
     return ExactMatrix([[math.lcm(a, b) ** alpha for b in els] for a in els])
 
@@ -394,5 +394,5 @@ def classify_psi_sign(p: DivisorPoset, i: int) -> Sign:
     _require_gcd_closed(p)
     if not generates_double_chain(p, i):
         raise NotDoubleChainGeneratorError(
-            f"element {p.elements[i]} does not generate a double chain")
+            f"element {_shown(p.elements[i])} does not generate a double chain")
     return Sign.NEGATIVE if len(p.covered(i)) == 1 else Sign.POSITIVE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -77,18 +78,22 @@ class TestDivisors:
         # rho splits it, and the composite parts it finds are split again.
         assert families._factor(1009 ** 5 * 1_000_003 ** 2) == [(1009, 5), (1_000_003, 2)]
 
-    def test_batch_gcd_of_n_is_retraced_step_by_step(self, monkeypatch):
-        # 67 * 71: rho with c = 1 first meets 67 at step 16, and 71 later in
-        # the same batch, so the batch's gcd is n.  The retrace from the
-        # batch's first y finds 67; moving on to c = 2 would find 71.
-        n, real, seen = 67 * 71, math.gcd, []
+    def test_the_first_step_with_a_gcd_above_one_decides(self):
+        # 67 * 71: rho with c = 1 meets 67 at step 16 and 71 at step 25; the
+        # first gcd above 1 gives 67, where moving on to c = 2 would find 71.
+        assert families._rho_factor(67 * 71, math.inf) == 67
 
-        def spy(a, b):
-            seen.append(real(a, b))
-            return seen[-1]
-        monkeypatch.setattr(families.math, "gcd", spy)
-        assert families._rho_factor(n, math.inf) == 67
-        assert n in seen
+    def test_a_budget_one_step_short_is_refused(self):
+        assert families._rho_factor(67 * 71, 15) is None
+        assert families._rho_factor(67 * 71, 16) == 67
+
+    def test_factor_matches_sympy_on_products_of_primes(self):
+        # Products of 2 to 4 primes of 3 to 9 digits, from a fixed seed.
+        rng = random.Random(7)
+        for _ in range(100):
+            n = math.prod(sympy.nextprime(rng.randrange(10 ** (k - 1), 9 * 10 ** (k - 1)))
+                          for k in rng.choices(range(3, 10), k=rng.randint(2, 4)))
+            assert families._factor(n) == sorted(sympy.factorint(n).items()), n
 
 
 class TestIsPrime:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from functools import partial
 from itertools import combinations
 
@@ -11,20 +12,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmlattice import (
+    BadFoldCountError,
+    BadParamsError,
     DivisorPoset,
     EmptyInputError,
     MeetOutsideSetError,
+    NonIntegerExponentError,
     NonPositiveElementError,
+    NotDoubleChainGeneratorError,
     SubPoset,
+    VerificationError,
     build_poset,
+    classical_set,
+    classify_psi_sign,
+    decompose_chains,
+    enumerate_gcd_closed,
+    families,
     gcd_closure,
+    grid_family,
     has_antichain_3,
     is_gcd_closed,
+    is_r_fold_gcd_closed,
     meet,
     meet_closure,
+    mobius_closed_form,
+    power_lcm_matrix,
+    search_max_iplus,
+    squarefree_pairs_family,
     to_dot,
     width,
 )
+from lcmlattice.lattice import _verify
 
 
 def exhaustive_width(sp: SubPoset) -> int:
@@ -313,3 +331,71 @@ class TestDot:
         out = to_dot(build_poset([1, 2, 3, 6]))
         assert '"2" -> "6";' in out and '"3" -> "6";' in out
         assert '"1" -> "6";' not in out  # only cover edges
+
+
+BIG = 10 ** 5000  # past the 4,300 digits that str(int) allows by default
+CUBE = build_poset([1, 2, 3, 5, 6, 10, 15, 30 * BIG])  # its top generates no double chain
+
+
+def _digits(v: int) -> str:
+    return str(Decimal(v))
+
+
+@pytest.mark.parametrize("patches, call, error, text", [
+    ((), lambda: build_poset([1, -BIG]), NonPositiveElementError,
+     "elements must be positive integers, got -1000000000000000000... (5002 characters)"),
+    ((), lambda: decompose_chains(CUBE, 7), NotDoubleChainGeneratorError,
+     f"element {_digits(30 * BIG)}: core of its covered set has width > 2"),
+    ((), lambda: mobius_closed_form(CUBE, 7), NotDoubleChainGeneratorError,
+     f"element {_digits(30 * BIG)}: core of its covered set has width > 2"),
+    ((), lambda: classify_psi_sign(CUBE, 7), NotDoubleChainGeneratorError,
+     f"element {_digits(30 * BIG)} does not generate a double chain"),
+    ((), lambda: meet(build_poset([2 * BIG, 3 * BIG]), 0, 1), MeetOutsideSetError,
+     f"gcd({_digits(2 * BIG)}, {_digits(3 * BIG)}) = {_digits(BIG)} is not in the set"),
+    ((), lambda: build_poset([1]).index(BIG), ValueError,
+     f"{_digits(BIG)} is not an element of the set"),
+    ((), lambda: SubPoset(CUBE, [BIG]), ValueError, f"index {_digits(BIG)} outside parent poset"),
+    ((), lambda: meet_closure(CUBE, [BIG]), ValueError, f"index {_digits(BIG)} outside poset"),
+    ((), lambda: _verify(False, "the routes disagreed at %s", BIG), VerificationError,
+     f"the routes disagreed at {_digits(BIG)}"),
+    ((), lambda: is_r_fold_gcd_closed(CUBE, BIG), BadFoldCountError,
+     f"fold count must be an integer in 0..7, got {_digits(BIG)}"),
+    ((), lambda: power_lcm_matrix(CUBE, -BIG), NonIntegerExponentError,
+     f"exponent must be non-negative, got -{_digits(BIG)}"),
+    # No base witnesses a prime, and no prime past 4,300 digits is cheap to
+    # test, so the bases are taken away.
+    ((("_MILLER_RABIN_BASES", ()),), lambda: families.is_prime(BIG + 1), BadParamsError,
+     f"cannot decide whether {_digits(BIG + 1)} is prime"),
+    ((), lambda: grid_family(BIG, 3, 2), BadParamsError,
+     f"grid primes must be prime, got {_digits(BIG)}"),
+    ((), lambda: grid_family(2, 3, -BIG), BadParamsError,
+     f"grid needs integer m >= 2, got -{_digits(BIG)}"),
+    ((("is_prime", lambda v: True),), lambda: squarefree_pairs_family([BIG, BIG]), BadParamsError,
+     f"primes must be pairwise distinct: [{_digits(BIG)}, {_digits(BIG)}]"),
+    ((), lambda: families._factor(-BIG), BadParamsError,
+     f"need a positive integer, got -{_digits(BIG)}"),
+    # 67^2740 has 5,004 digits and no factor below 64; one rho step does not split it.
+    ((("is_prime", lambda v: False), ("_RHO_BUDGET", 1)), lambda: families._factor(67 ** 2740),
+     BadParamsError, f"cannot factor {_digits(67 ** 2740)}: it is composite"),
+    ((), lambda: families._universe_poset(BIG), BadParamsError,
+     f"universe {_digits(BIG)} has {5001 ** 2} divisors"),
+    ((), lambda: classical_set(-BIG), BadParamsError, f"need integer n >= 1, got -{_digits(BIG)}"),
+    ((), lambda: search_max_iplus(-BIG), BadParamsError,
+     f"need integer n >= 1, got -{_digits(BIG)}"),
+    ((), lambda: search_max_iplus(BIG, [6]), BadParamsError,
+     f"no gcd-closed subset of size {_digits(BIG)} inside universes [6]"),
+    ((), lambda: list(enumerate_gcd_closed(6, -BIG)), BadParamsError,
+     f"need integer size >= 1, got -{_digits(BIG)}"),
+], ids=["build_poset", "decompose_chains", "mobius_closed_form", "classify_psi_sign", "meet",
+        "index", "SubPoset", "meet_closure", "_verify", "is_r_fold_gcd_closed",
+        "power_lcm_matrix", "is_prime", "grid_prime", "grid_m", "distinct_primes", "_factor",
+        "cannot_factor", "_universe_poset", "classical_set", "search_n", "search_no_subset",
+        "enumerate_size"])
+def test_a_message_names_a_value_of_any_size(patches, call, error, text, monkeypatch):
+    # Each message names its value in full, and the error keeps its class,
+    # not the interpreter's ValueError for ints past its digit limit.
+    for name, value in patches:
+        monkeypatch.setattr(families, name, value)
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and text in str(exc.value)

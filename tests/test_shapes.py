@@ -28,8 +28,8 @@ from itertools import permutations, product
 
 import pytest
 
-from lcmlattice import build_poset, cli, generates_double_chain, is_cube_isomorphic, \
-    mobius_closed_form, mobius_recursive
+from lcmlattice import build_poset, cli, core_set, generates_double_chain, is_cube_isomorphic, \
+    mobius_closed_form, mobius_recursive, mobius_via_zeta_inverse, width
 from lcmlattice.lattice import _bits
 
 A006966 = (1, 1, 2, 5, 15, 53, 222, 1078)  # lattices on n + 1 elements, n = 1..8
@@ -77,9 +77,13 @@ def shapes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def realize(down: tuple[int, ...]):
-    """The gcd-closed set of the shape with a private prime per member."""
-    p = build_poset(math.prod(PRIMES[j] for j in _bits(d)) for d in down)
+def realize(down: tuple[int, ...], squares: bool = False):
+    """The gcd-closed set of the shape with a private prime p_T per member T:
+    x_S is the product of p_T^e_T over T <= S, where e_T = 1, or with
+    ``squares`` e_T = 2 on every other member.  The meet's down-set is the
+    intersection of the down-sets, so gcd(x_S, x_U) = x_meet(S, U) either way."""
+    p = build_poset(math.prod(PRIMES[j] ** (1 + (squares and j % 2)) for j in _bits(d))
+                    for d in down)
     assert p.gcd_closed and p.n == len(down)
     return p
 
@@ -118,3 +122,41 @@ def test_at_eight_the_one_shape_with_a_non_generator_is_the_cube():
     others = [p for p in map(realize, shapes(8))
               if not all(generates_double_chain(p, i) for i in range(8))]
     assert len(others) == 1 and is_cube_isomorphic(others[0])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_matches_the_zeta_and_recursive_columns_on_both_labellings(n):
+    for down in shapes(n):
+        for p in (realize(down), realize(down, squares=True)):
+            mu, zeta = mobius_recursive(p), mobius_via_zeta_inverse(p)
+            for i in range(n):
+                if generates_double_chain(p, i):
+                    col = mobius_closed_form(p, i)
+                    assert col == mu.column(i) == zeta.column(i), (p.elements, i)
+
+
+def _report(p, capsys) -> dict:
+    assert cli.main(["analyze", "--json", *map(str, p.elements)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_second_labelling_up_to_seven_is_oracle_verified(n, capsys):
+    # Other labels, the same shapes: the same inertia (n - s, s, 0).
+    for down in shapes(n):
+        p = realize(down, squares=True)
+        single = sum(len(p.covered(i)) == 1 for i in range(n))
+        assert _report(p, capsys)["inertia"] == {
+            "plus": n - single, "minus": single, "zero": 0, "method": "oracle-verified"}
+
+
+def test_every_report_at_eight_exits_zero_on_the_second_labelling(capsys):
+    for down in shapes(8):
+        assert _report(realize(down, squares=True), capsys)["inertia"]["method"] == \
+            "oracle-verified"
+
+
+def test_at_eight_the_one_core_of_width_three_is_at_the_cube_top():
+    wide = [(p, i) for p in map(realize, shapes(8)) for i in range(8)
+            if width(core_set(p, i)) > 2]
+    assert [(is_cube_isomorphic(p), i, width(core_set(p, i))) for p, i in wide] == [(True, 7, 3)]
