@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 import os
 import sys
+from _json import encode_basestring_ascii as _quote  # the C function json.encoder uses
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cache, partial
-from json.encoder import encode_basestring_ascii as _quote  # C, where _json is built
 from types import SimpleNamespace
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
@@ -40,8 +39,8 @@ from .moebius import mobius_closed_form, mobius_recursive, mobius_via_zeta_inver
 DEFAULT_VERIFY_CAP = 64
 
 
-def _frac(f: Fraction | int, den: int = 1) -> str:
-    # f / den (den > 0) in lowest terms; _shown prints any int, str stops at 4300 digits.
+def _frac(f, den: int = 1) -> str:
+    # f / den (f an int or Fraction, den > 0) in lowest terms; _shown prints any int.
     g = math.gcd(f.numerator, den)  # f.denominator is coprime to f.numerator
     return f"{_shown(f.numerator // g)}/{_shown(f.denominator * den // g)}"
 

@@ -141,7 +141,7 @@ class DivisorPoset:
         return m, tuple(accumulate(reversed(self._low_meet), min))[::-1]
 
     def __repr__(self) -> str:
-        return f"DivisorPoset({list(self.elements)})"
+        return f"DivisorPoset([{', '.join(map(_shown, self.elements))}])"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DivisorPoset) and self.elements == other.elements
@@ -182,7 +182,7 @@ class SubPoset(namedtuple("SubPoset", "parent members")):
         return _covers(self.parent._down[i] & self._mask & ~(1 << i), self.parent._down)
 
     def __repr__(self) -> str:
-        return f"SubPoset(values={list(self.values())})"
+        return f"SubPoset(values=[{', '.join(map(_shown, self.values()))}])"
 
 
 class _PosetValues:
@@ -297,11 +297,10 @@ def has_antichain_3(sp: SubPoset) -> bool:
 
 def to_dot(p: DivisorPoset) -> str:
     """Hasse diagram of the poset as a DOT digraph with upward cover edges."""
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for x in p.elements:
-        lines.append(f'  "{x}";')
+    names = [_shown(x) for x in p.elements]  # str stops at the interpreter's digit limit
+    lines = ["digraph hasse {", "  rankdir=BT;", *(f'  "{x}";' for x in names)]
     for i in range(p.n):
         for j in p.covered(i):
-            lines.append(f'  "{p.elements[j]}" -> "{p.elements[i]}";')
+            lines.append(f'  "{names[j]}" -> "{names[i]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,8 @@ pivots from the first index up, whose pivot product gives the determinant
 and whose pivot signs give the inertia by Sylvester's law of inertia.  On a
 gcd-closed set in ascending order, pivot k is x_k * w_k = x_k^2 * Psi_k,
 the congruence factorization() builds; the oracle still shares no code with
-the Psi route, so their agreement is meaningful.
+the Psi route, so their agreement is meaningful.  Each routine imports
+Fraction where it builds one, so the CLI, which builds none, never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import enum
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .doublechain import NotDoubleChainGeneratorError, generates_double_chain
 from .lattice import DivisorPoset, VerificationError, _PosetValues, _bits, _shown, _verify
@@ -48,6 +48,7 @@ class ExactMatrix:
     """Dense matrix of exact rationals (immutable); int entries stay ints."""
 
     def __init__(self, entries):
+        from fractions import Fraction
         rows = tuple(tuple(v if type(v) is int else Fraction(v) for v in row)
                      for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
@@ -153,6 +154,7 @@ def lcm_matrix(p: DivisorPoset) -> ExactMatrix:
 
 def reciprocal_gcd_matrix(p: DivisorPoset) -> ExactMatrix:
     """Matrix of exact reciprocals of pairwise gcds."""
+    from fractions import Fraction
     els = p.elements
     return ExactMatrix([[Fraction(1, math.gcd(a, b)) for b in els] for a in els])
 
@@ -170,6 +172,7 @@ def power_lcm_matrix(p: DivisorPoset, alpha: int) -> ExactMatrix:
 def psi(p: DivisorPoset) -> PsiVector:
     """Exact Psi values w_i / x_i, the integers w_i = x_i * Psi_i of _weights
     checked by _checked_by_mobius."""
+    from fractions import Fraction
     return PsiVector(p, tuple(map(Fraction, _checked_by_mobius(p, _weights(p)), p.elements)))
 
 
@@ -230,6 +233,7 @@ def factorization(p: DivisorPoset) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
     x_j in the set, which must equal 1 / gcd(x_i, x_j).  Entries with the same
     common divisors and gcd share one check: n of them on a gcd-closed set.
     """
+    from fractions import Fraction
     _require_gcd_closed(p)
     n = p.n
     els = p.elements
@@ -286,7 +290,11 @@ def _eliminate_symmetric(a: list[list[int | Fraction]]) -> tuple[int, int, int, 
         pivot = row_k[0]
         nonzero = [(d, v) for d, v in enumerate(row_k) if v]
         for s, (d, lead) in enumerate(nonzero[1:], 1):
-            q = lead // pivot if not lead % pivot else Fraction(lead, pivot)
+            if lead % pivot:  # never on an LCM matrix (see the docstring)
+                from fractions import Fraction
+                q = Fraction(lead, pivot)
+            else:
+                q = lead // pivot
             row_i = a[k + d]
             for e, y in nonzero[s:]:
                 row_i[e - d] -= q * y
@@ -304,6 +312,7 @@ def determinant_exact(m: ExactMatrix) -> Fraction:
     previous pivot, so the last pivot is the determinant.  A zero pivot swaps
     in the first row below it with a nonzero entry in its column, which
     flips the sign; a column with none gives 0."""
+    from fractions import Fraction
     if not m.is_square:
         raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
     n = m.rows
@@ -363,6 +372,7 @@ def congruence_oracle(m: ExactMatrix) -> tuple[InertiaTriple, Fraction]:
         raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
     if not m.is_symmetric:
         raise NonSymmetricError("inertia needs a symmetric matrix")
+    from fractions import Fraction
     inertia, det = _upper_congruence([list(row[i:]) for i, row in enumerate(m.entries)])
     return inertia, Fraction(det)
 

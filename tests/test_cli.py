@@ -562,20 +562,26 @@ def test_a_valid_command_builds_no_parser(capsys):
 
 
 def test_valid_commands_import_no_argparse():
-    # argparse's first parser imports gettext and locale; -S keeps site hooks
-    # from loading any of them.
+    # argparse's first parser imports gettext and locale; the JSON writer
+    # needs only _json's C function, and a report builds no Fraction.  -S
+    # keeps site hooks from loading any of them.
     src = Path(lcmlattice.__file__).parents[1]
-    commands = [["analyze", "--json", *CUBE],
+    commands = [["analyze", "--json", *CUBE], ["analyze", "--cap", "0", *CUBE],
+                ["family", "grid", "--p", "2", "--q", "3", "--m", "3", "--json"],
+                *(["mobius", "--method", m, *"1 2 3 4 6 9 12 18 36".split()]
+                  for m in ["recursive", "zeta", "closed-form"]),
+                ["closure", "--json", "6", "10", "15"], ["dot", *CUBE],
                 ["search", "--json", "--n", "4", "--universe", "210"]]
     script = ("import contextlib, io, sys\n"
               "from lcmlattice import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
-              "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+              "print(codes, sorted({'argparse', 'gettext', 'locale', 'json', 'fractions'}\n"
+              "                    & set(sys.modules)))\n")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] []\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{[0] * 9} []\n", "")
 
 
 def _full_parse(argv):
@@ -763,13 +769,15 @@ def test_a_generator_weight_of_the_wrong_sign_exits_three(flags, cap, factor):
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     # Each module costs every command its import time: dataclasses pulls in
-    # inspect, ast, dis and tokenize.  -S keeps site hooks from loading either.
+    # inspect, ast, dis and tokenize, and json its decoder and scanner; no
+    # command needs json or fractions.  -S keeps site hooks from loading any.
     src = Path(lcmlattice.__file__).parents[1]
     script = ("import sys\n"
               "before = set(sys.modules)\n"
               "import lcmlattice.cli\n"
               "new = set(sys.modules) - before\n"
-              "print(sorted({'dataclasses', 'inspect'} & new), 'lcmlattice.cli' in new)\n")
+              "gone = {'dataclasses', 'inspect', 'json', 'json.decoder', 'fractions'}\n"
+              "print(sorted(gone & new), 'lcmlattice.cli' in new)\n")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})

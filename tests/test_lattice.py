@@ -25,6 +25,7 @@ from lcmlattice import (
     build_poset,
     classical_set,
     classify_psi_sign,
+    core_set,
     decompose_chains,
     enumerate_gcd_closed,
     families,
@@ -399,3 +400,15 @@ def test_a_message_names_a_value_of_any_size(patches, call, error, text, monkeyp
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and text in str(exc.value)
+
+
+def test_members_of_any_size_are_written_in_full():
+    # repr and DOT write each member in full, not the interpreter's ValueError
+    # for ints past its digit limit; the digits are spelled out here.
+    one = "1" + "0" * 5000  # BIG
+    p = build_poset([1, BIG])
+    assert repr(p) == f"DivisorPoset([1, {one}])"
+    lines = ["digraph hasse {", "  rankdir=BT;", '  "1";', f'  "{one}";', f'  "1" -> "{one}";', "}"]
+    assert to_dot(p) == "\n".join(lines) + "\n"
+    core = core_set(build_poset([BIG, 2 * BIG, 3 * BIG, 6 * BIG]), 3)
+    assert repr(core) == f"SubPoset(values=[{one}])"
