@@ -14,6 +14,7 @@ from collections import namedtuple
 from .lattice import (
     DivisorPoset,
     SubPoset,
+    _bits,
     _covers,
     _shown,
     _verify,
@@ -46,60 +47,61 @@ class ChainDecomposition(namedtuple("ChainDecomposition", "poset owner core chai
     __slots__ = ()
 
 
+def _core(p: DivisorPoset, i: int) -> tuple[tuple[int, ...], int]:
+    """The core's members, ascending, and its mask, from one meet closure."""
+    c = p.covered(i)
+    members = tuple([m for m in meet_closure(p, c) if m not in c])
+    return members, sum([1 << m for m in members])
+
+
 def core_set(p: DivisorPoset, i: int) -> SubPoset:
     """Meet closure of the covered set of x_i, minus the covered set itself."""
-    c = p.covered(i)
-    closed = meet_closure(p, c)
-    return SubPoset(p, set(closed) - set(c))
+    return SubPoset._make((p, _core(p, i)[0]))  # sorted member indices: nothing to check
 
 
 def generates_double_chain(p: DivisorPoset, i: int) -> bool:
     """True when the core of x_i has no antichain of three (width at most 2)."""
-    return _split_into_chains(p, core_set(p, i)) is not None
+    return _split_into_chains(p, _core(p, i)[1]) is not None
 
 
 def _is_chain(p: DivisorPoset, seq: tuple[int, ...]) -> bool:
-    return all(p.leq(a, b) for a, b in zip(seq, seq[1:]))
+    return all(map(p.leq, seq, seq[1:]))
 
 
-def _split_into_chains(p: DivisorPoset, core: SubPoset
-                       ) -> tuple[list[int], list[int]] | None:
-    """Split a core into chains A and B bottom-up; None when its width exceeds 2.
+def _fits(down: tuple[int, ...], chain: list[int], u: int) -> bool:
+    """True when u may go on top of chain: it is empty or its top divides x_u."""
+    return not chain or bool(down[u] >> chain[-1] & 1)
 
-    Each step places the minimal elements of what remains: one goes to A if
-    it fits, else to B; two (ascending) go to A and B, else swapped; three
-    are an antichain.  Every feasible placement leaves the same pair of chain
-    tops, so the pass fails only when no two-chain partition exists.  The
-    core's minimum is placed first, so it starts chain A.
+
+def _split_into_chains(p: DivisorPoset, rest: int) -> tuple[list[int], list[int]] | None:
+    """Split the core with mask rest into chains A and B bottom-up; None when
+    its width exceeds 2.
+
+    Each step peels the minimal elements of what remains, read off their
+    down-sets: one goes to A if it fits, else to B; two (ascending) go to A
+    and B, else swapped; three are an antichain.  Every feasible placement
+    leaves the same pair of chain tops, so the pass fails only when no
+    two-chain partition exists.  The core's minimum comes first: it starts A.
     """
-    chain_a: list[int] = []
-    chain_b: list[int] = []
-
-    def fits(chain: list[int], u: int) -> bool:
-        return not chain or p.leq(chain[-1], u)
-
-    rest = core._mask
+    down, chain_a, chain_b = p._down, [], []
     while rest:
-        mins = [u for u in core.members
-                if rest >> u & 1 and p._down[u] & rest == 1 << u]
+        mins = [u for u in _bits(rest) if down[u] & rest == 1 << u]
         if len(mins) == 1:
             u = mins[0]
-            if fits(chain_a, u):
+            if _fits(down, chain_a, u):
                 chain_a.append(u)
-            elif fits(chain_b, u):
+            elif _fits(down, chain_b, u):
                 chain_b.append(u)
             else:
                 return None
         elif len(mins) == 2:
             u, w = mins
-            if fits(chain_a, u) and fits(chain_b, w):
-                chain_a.append(u)
-                chain_b.append(w)
-            elif fits(chain_a, w) and fits(chain_b, u):
-                chain_a.append(w)
-                chain_b.append(u)
-            else:
-                return None
+            if not (_fits(down, chain_a, u) and _fits(down, chain_b, w)):
+                if not (_fits(down, chain_a, w) and _fits(down, chain_b, u)):
+                    return None
+                u, w = w, u
+            chain_a.append(u)
+            chain_b.append(w)
         else:
             return None
         for u in mins:
@@ -113,29 +115,27 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
     Raises NotDoubleChainGeneratorError when the core has width above two.
     """
     c = p.covered(i)
-    core = core_set(p, i)
-    split = _split_into_chains(p, core)
-    if split is None:
+    members, mask = _core(p, i)
+    if (split := _split_into_chains(p, mask)) is None:
         raise NotDoubleChainGeneratorError(
             f"element {_shown(p.elements[i])}: core of its covered set has width > 2")
-    chain_a, chain_b = split
+    chain_a, chain_b = map(tuple, split)
 
     # C is an antichain, so what a cover z covers inside core + C lies in the core.
-    mask = core._mask
-    core_below = {z: _covers(p._down[z] & mask, p._down) for z in c}
-    attach: dict[int, list[int]] = {m: [] for m in core.members}
+    attach: dict[int, tuple[int, ...]] = dict.fromkeys(members, ())
     doubly: int | None = None
-    for z, below in core_below.items():
+    for z in c if members else ():  # with no core, no cover attaches
+        below = _covers(p._down[z] & mask, p._down)
         for k in below:
-            attach[k].append(z)
+            attach[k] += (z,)
         if len(below) >= 2:
             _verify(len(below) == 2, "a cover attached to three core elements")
             _verify(doubly is None, "two covers attached to both chains")
-            doubly = z
+            doubly, (q, r) = z, below
 
-    _verify(_is_chain(p, tuple(chain_a)) and _is_chain(p, tuple(chain_b)),
+    _verify(_is_chain(p, chain_a) and _is_chain(p, chain_b),
             "chain A or chain B is not a chain")
-    _verify(sorted(chain_a + chain_b) == list(core.members),
+    _verify(sorted(chain_a + chain_b) == list(members),
             "chains A and B do not partition the core")
 
     top_a = chain_a[-1] if chain_a else None
@@ -147,11 +147,10 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
         _verify(sum(eta.values()) == len(c) + (1 if doubly is not None else 0),
                 "attachment counts do not add up to the covers")
     else:
-        _verify(not core.members and not eta,
+        _verify(not members and not eta,
                 "an element with at most one cover has a non-empty core")
 
     if doubly is not None:
-        q, r = core_below[doubly]
         _verify(top_a is not None and top_b is not None,
                 "a cover attached to both chains, but a chain has no top")
         _verify(not (p.leq(top_a, top_b) or p.leq(top_b, top_a)),
@@ -159,18 +158,8 @@ def decompose_chains(p: DivisorPoset, i: int) -> ChainDecomposition:
         _verify(meet(p, top_a, top_b) == meet(p, q, r),
                 "chain tops and doubly-attached covers have different meets")
 
-    return ChainDecomposition(
-        poset=p,
-        owner=i,
-        core=core,
-        chain_a=tuple(chain_a),
-        chain_b=tuple(chain_b),
-        attach={m: tuple(zs) for m, zs in attach.items()},
-        eta=eta,
-        top_a=top_a,
-        top_b=top_b,
-        doubly_attached=doubly,
-    )
+    return ChainDecomposition(p, i, SubPoset._make((p, members)), chain_a, chain_b, attach, eta,
+                              top_a, top_b, doubly)
 
 
 def is_a_set(p: DivisorPoset) -> bool:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from decimal import Decimal
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 
@@ -36,9 +35,19 @@ class VerificationError(Exception):
 
 
 def _shown(v) -> str:
-    """v for a message: an int (not a bool) through Decimal, which prints any
-    size where str stops at the interpreter's digit limit; else repr(v)."""
-    return str(Decimal(v)) if isinstance(v, int) and not isinstance(v, bool) else repr(v)
+    """repr(v) with every int in full, also a tuple's items and a Fraction's parts:
+    repr stops at the interpreter's digit limit for str, and Decimal has none."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        try:
+            return int.__repr__(v)
+        except ValueError:
+            from decimal import Decimal
+            return str(Decimal(v))
+    if type(v) is tuple:
+        return f"({', '.join(map(_shown, v))}{',' * (len(v) == 1)})"
+    if hasattr(v, "denominator") and not isinstance(v, bool):  # as Fraction.__repr__ writes it
+        return f"{type(v).__name__}({_shown(v.numerator)}, {_shown(v.denominator)})"
+    return repr(v)
 
 
 def _verify(ok: bool, failure: str, *args) -> None:
@@ -211,7 +220,7 @@ class _PosetValues:
         return hash((self.poset, self.values))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(poset={self.poset!r}, values={self.values!r})"
+        return f"{type(self).__name__}(poset={self.poset!r}, values={_shown(self.values)})"
 
 
 def build_poset(xs: Iterable[int]) -> DivisorPoset:

@@ -98,7 +98,9 @@ class ExactMatrix:
             for r in range(self.rows) for c in range(r))
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({[[str(v) for v in row] for row in self.entries]})"
+        # str of each entry, an int or a Fraction's parts in full past the digit limit
+        return "ExactMatrix(%r)" % [[_shown(v.numerator) + f"/{_shown(v.denominator)}" * (
+            v.denominator != 1) for v in row] for row in self.entries]
 
 
 class PsiVector(_PosetValues):

@@ -563,8 +563,9 @@ def test_a_valid_command_builds_no_parser(capsys):
 
 def test_valid_commands_import_no_argparse():
     # argparse's first parser imports gettext and locale; the JSON writer
-    # needs only _json's C function, and a report builds no Fraction.  -S
-    # keeps site hooks from loading any of them.
+    # needs only _json's C function, a report builds no Fraction, and an int
+    # goes through Decimal only past the digit limit.  -S keeps site hooks
+    # from loading any of them.
     src = Path(lcmlattice.__file__).parents[1]
     commands = [["analyze", "--json", *CUBE], ["analyze", "--cap", "0", *CUBE],
                 ["family", "grid", "--p", "2", "--q", "3", "--m", "3", "--json"],
@@ -576,8 +577,8 @@ def test_valid_commands_import_no_argparse():
               "from lcmlattice import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
-              "print(codes, sorted({'argparse', 'gettext', 'locale', 'json', 'fractions'}\n"
-              "                    & set(sys.modules)))\n")
+              "print(codes, sorted({'argparse', 'gettext', 'locale', 'json', 'fractions',\n"
+              "                     'decimal'} & set(sys.modules)))\n")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
@@ -770,13 +771,14 @@ def test_a_generator_weight_of_the_wrong_sign_exits_three(flags, cap, factor):
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     # Each module costs every command its import time: dataclasses pulls in
     # inspect, ast, dis and tokenize, and json its decoder and scanner; no
-    # command needs json or fractions.  -S keeps site hooks from loading any.
+    # command needs json, fractions or decimal.  -S keeps site hooks from
+    # loading any.
     src = Path(lcmlattice.__file__).parents[1]
     script = ("import sys\n"
               "before = set(sys.modules)\n"
               "import lcmlattice.cli\n"
               "new = set(sys.modules) - before\n"
-              "gone = {'dataclasses', 'inspect', 'json', 'json.decoder', 'fractions'}\n"
+              "gone = {'dataclasses', 'inspect', 'json', 'json.decoder', 'fractions', 'decimal'}\n"
               "print(sorted(gone & new), 'lcmlattice.cli' in new)\n")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],

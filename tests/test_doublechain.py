@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from lcmlattice import (
     BadFoldCountError,
+    ChainDecomposition,
+    MeetOutsideSetError,
     NotDoubleChainGeneratorError,
     SubPoset,
     build_poset,
@@ -24,9 +26,12 @@ from lcmlattice import (
     is_a_set,
     is_meet_tree,
     is_r_fold_gcd_closed,
+    meet_closure,
     width,
 )
+from lcmlattice.lattice import _covers
 from conftest import SINGLE_CORE_COVER_SET
+from test_shapes import realize, shapes
 
 
 def two_chain_partition_exists(sp: SubPoset) -> bool:
@@ -230,6 +235,111 @@ class TestDecomposition:
                     z for z in covers if els[z] % els[m] == 0
                     and not any(k != m and els[k] % els[m] == 0 and els[z] % els[k] == 0
                                 for k in core))
+
+
+def _scan_decomposition(p, i) -> tuple:
+    """The fields of decompose_chains(p, i) as the split made them when it
+    scanned the core's members: the core is the meet closure of the covered
+    set minus that set, and each step takes the members of what remains that
+    have no other member of it below them."""
+    c = p.covered(i)
+    core = SubPoset(p, set(meet_closure(p, c)) - set(c))
+    chain_a, chain_b, rest = [], [], set(core.members)
+
+    def fits(chain, u):
+        return not chain or p.leq(chain[-1], u)
+
+    while rest:
+        mins = [u for u in core.members
+                if u in rest and not any(v != u and p.leq(v, u) for v in rest)]
+        if len(mins) == 1 and (fits(chain_a, mins[0]) or fits(chain_b, mins[0])):
+            (chain_a if fits(chain_a, mins[0]) else chain_b).append(mins[0])
+        elif len(mins) == 2 and fits(chain_a, mins[0]) and fits(chain_b, mins[1]):
+            chain_a.append(mins[0])
+            chain_b.append(mins[1])
+        elif len(mins) == 2 and fits(chain_a, mins[1]) and fits(chain_b, mins[0]):
+            chain_a.append(mins[1])
+            chain_b.append(mins[0])
+        else:
+            raise NotDoubleChainGeneratorError(
+                f"element {p.elements[i]}: core of its covered set has width > 2")
+        rest -= set(mins)
+    mask = sum(1 << m for m in core.members)
+    attach = {m: [] for m in core.members}
+    doubly = None
+    for z in c:
+        below = _covers(p._down[z] & mask, p._down)
+        for k in below:
+            attach[k].append(z)
+        if len(below) == 2:
+            doubly = z
+    top_a = chain_a[-1] if chain_a else None
+    top_b = chain_b[-1] if chain_b else top_a
+    return (p, i, core, tuple(chain_a), tuple(chain_b),
+            {m: tuple(zs) for m, zs in attach.items()},
+            {m: len(zs) for m, zs in attach.items()}, top_a, top_b, doubly)
+
+
+def _outcome(f, p, i):
+    try:
+        return f(p, i)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_splits_agree(p):
+    for i in range(p.n):
+        got, want = _outcome(decompose_chains, p, i), _outcome(_scan_decomposition, p, i)
+        assert tuple(got) == want, (p.elements, i)  # each field, or the error and its message
+        split = isinstance(got, ChainDecomposition)
+        if split:
+            assert [list(got.attach.items()), list(got.eta.items())] == [
+                list(want[5].items()), list(want[6].items())]
+            assert core_set(p, i) == got.core
+        if want[0] is not MeetOutsideSetError:
+            assert generates_double_chain(p, i) == split
+
+
+class TestSplitAgainstTheMemberScan:
+    # The split on down-set masks against the scan of the core's members that
+    # it replaced: every field, the order of attach and eta, and each error.
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_shape_on_both_labellings(self, n):
+        for down in shapes(n):
+            for p in (realize(down), realize(down, squares=True)):
+                _assert_splits_agree(p)
+
+    @given(st.one_of(
+        st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=8),
+        st.lists(st.sampled_from(divisors(720720)), min_size=1, max_size=8)).map(gcd_closure))
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_closed_sets(self, xs):
+        _assert_splits_agree(build_poset(xs))
+
+    def test_the_corpus_and_the_rarer_placements(self, corpus):
+        # The last set places two minimal elements swapped, which no shape up
+        # to eight elements does; the one before places one on chain B.
+        for p in [p for _, p in corpus] + [
+                incomparable_tops_instance(),
+                build_poset([1, 2, 3, 9, 10, 38, 69, 70, 99, 117, 170, 669278610])]:
+            _assert_splits_agree(p)
+
+    def test_the_cube_top_is_refused_alike(self):
+        p = cube_instances()[0]
+        assert _outcome(decompose_chains, p, 7) == _outcome(_scan_decomposition, p, 7) == (
+            NotDoubleChainGeneratorError, "element 30: core of its covered set has width > 2")
+
+    @pytest.mark.parametrize("xs, i, gcd", [([2, 3, 6], 2, "gcd(3, 2) = 1"),
+                                            ([1, 6, 10, 15, 30], 4, "gcd(10, 6) = 2")])
+    def test_a_set_that_is_not_gcd_closed_is_refused_alike(self, xs, i, gcd):
+        p = build_poset(xs)
+        assert _outcome(decompose_chains, p, i) == _outcome(_scan_decomposition, p, i) == (
+            MeetOutsideSetError, f"{gcd} is not in the set")
+
+    @given(st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_any_set(self, xs):
+        _assert_splits_agree(build_poset(xs))
 
 
 def _closed_brute(xs) -> bool:

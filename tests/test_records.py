@@ -15,6 +15,7 @@ import pytest
 
 from lcmlattice import (
     ChainDecomposition,
+    ExactMatrix,
     InertiaTriple,
     MoebiusTable,
     PsiVector,
@@ -101,3 +102,16 @@ def test_cores_are_values():
         with pytest.raises(AttributeError):
             setattr(a, name, (1,))
     assert a.members == (0,) and a._mask == 1
+
+
+def test_values_of_any_size_are_written_in_full():
+    # Each int, and each part of a Fraction, past the 4,300 digits that the
+    # interpreter's repr and str allow by default; the digits are spelled out.
+    big, one, nines = 10 ** 5000, "1" + "0" * 5000, "9" * 5000
+    poset = f"DivisorPoset([1, {one}])"
+    assert repr(psi(build_poset([1, big]))) == (
+        f"PsiVector(poset={poset}, values=(Fraction(1, 1), Fraction(-{nines}, {one})))")
+    assert repr(MoebiusTable(build_poset([1, big]), ((1, -big), (0, 1)))) == (
+        f"MoebiusTable(poset={poset}, values=((1, -{one}), (0, 1)))")
+    assert repr(ExactMatrix([[big, F(1, big)], [F(-big, 3), F(4)]])) == (
+        f"ExactMatrix([['{one}', '1/{one}'], ['-{one}/3', '4']])")
