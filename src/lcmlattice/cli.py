@@ -23,7 +23,7 @@ import os
 import sys
 from _json import encode_basestring_ascii as _quote  # the C function json.encoder uses
 from collections.abc import Sequence
-from functools import cache, partial
+from functools import cache
 from types import SimpleNamespace
 
 from .doublechain import NotDoubleChainGeneratorError, decompose_chains, is_a_set, \
@@ -105,7 +105,7 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
     oracle = verify or p.n <= cap
     els = p.elements
     ws = _weights(p) if oracle else _checked_by_mobius(p, _weights(p))
-    strs = [str(x) for x in els]
+    strs = list(map(_shown, els))  # a family element may be past the digit limit
     per_element = []
     for i, (x, w) in enumerate(zip(els, ws)):
         try:
@@ -147,7 +147,7 @@ def _build_report(p: DivisorPoset, original: Sequence[int],
         method = "oracle-verified"
 
     return {
-        "input": [str(x) for x in sorted(set(original))],
+        "input": list(map(_shown, sorted(set(original)))),
         "gcd_closed_input": not closure_applied,
         "closure_applied": closure_applied,
         "elements": strs,
@@ -253,36 +253,32 @@ def _cmd_family(ns: SimpleNamespace) -> int:
 
 def _cmd_mobius(ns: SimpleNamespace) -> int:
     p, _, _ = _read_closed_poset(ns, "use")
+    els = p.elements
     i = None if ns.column is None else p.index(ns.column)
-    # One column function per method, looked up at call time so that a
-    # rebinding of these names (bench/tracing.py wraps them) is seen.
-    if ns.method == "closed-form":
-        column = partial(mobius_closed_form, p)
-    elif ns.method == "zeta":
-        column = mobius_via_zeta_inverse(p).column
+    # Each route is looked up at call time, so that a rebinding of these
+    # names (bench/tracing.py wraps them) is seen.
+    if ns.method == "closed-form":  # only the columns asked for, transposed once
+        table = list(zip(*[mobius_closed_form(p, k).values()
+                           for k in (range(p.n) if i is None else (i,))]))
     else:
-        column = mobius_recursive(p).column
+        table = (mobius_via_zeta_inverse if ns.method == "zeta" else mobius_recursive)(p).values
     if i is not None:
-        col = column(i)
+        col = [row[0 if ns.method == "closed-form" else i] for row in table]
         if ns.json:
             print(_dumps({"element": str(ns.column), "method": ns.method,
-                          "column": {str(p.elements[j]): col[j] for j in range(p.n)}}))
+                          "column": dict(zip(map(str, els), col))}))
         else:
-            for j in range(p.n):
-                print(f"mu({p.elements[j]}, {ns.column}) = {col[j]}")
+            for x, v in zip(els, col):
+                print(f"mu({x}, {ns.column}) = {v}")
         return 0
 
-    columns = [column(k) for k in range(p.n)]
-    table = [[col[j] for col in columns] for j in range(p.n)]
     if ns.json:
-        print(_dumps({"elements": [str(x) for x in p.elements],
-                      "method": ns.method, "table": table}))
+        print(_dumps({"elements": [str(x) for x in els],
+                      "method": ns.method, "table": list(map(list, table))}))
     else:
-        w = max(len(str(x)) for x in p.elements) + 1
-        w = max(w, max(len(str(v)) + 1 for row in table for v in row))
-        print(" " * w + "".join(f"{x:>{w}}" for x in p.elements))
-        for j in range(p.n):
-            print(f"{p.elements[j]:>{w}}" + "".join(f"{v:>{w}}" for v in table[j]))
+        w = 1 + max(len(str(v)) for row in (els, *table) for v in row)
+        for x, row in [("", els), *zip(els, table)]:  # the header, then mu(x_j, .) by row j
+            print(f"{x:>{w}}" + "".join(f"{v:>{w}}" for v in row))
     return 0
 
 

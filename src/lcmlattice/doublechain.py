@@ -78,22 +78,19 @@ def _split_into_chains(p: DivisorPoset, rest: int) -> tuple[list[int], list[int]
     its width exceeds 2.
 
     Each step peels the minimal elements of what remains, read off their
-    down-sets: one goes to A if it fits, else to B; two (ascending) go to A
-    and B, else swapped; three are an antichain.  Every feasible placement
-    leaves the same pair of chain tops, so the pass fails only when no
-    two-chain partition exists.  The core's minimum comes first: it starts A.
+    down-sets: one goes to A if it fits, else to B, where it always fits, as
+    it lies above an element peeled the step before, now a chain top; two
+    (ascending) go to A and B, else swapped; three are an antichain.  Every
+    feasible placement leaves the same pair of chain tops, so the pass fails
+    only when no two-chain partition exists.  The core's minimum comes first:
+    it starts A.
     """
     down, chain_a, chain_b = p._down, [], []
     while rest:
         mins = [u for u in _bits(rest) if down[u] & rest == 1 << u]
         if len(mins) == 1:
             u = mins[0]
-            if _fits(down, chain_a, u):
-                chain_a.append(u)
-            elif _fits(down, chain_b, u):
-                chain_b.append(u)
-            else:
-                return None
+            (chain_a if _fits(down, chain_a, u) else chain_b).append(u)
         elif len(mins) == 2:
             u, w = mins
             if not (_fits(down, chain_a, u) and _fits(down, chain_b, w)):

@@ -175,8 +175,8 @@ def squarefree_pairs_family(primes: Sequence[int]) -> DivisorPoset:
 def triple_prime_family(primes: Sequence[int], q: int, r: int, m: int) -> DivisorPoset:
     """Union over i of the grids r^(i-1) * q^k * p_i^l (k, l below m).
 
-    Needs m distinct primes p_1..p_m plus two further primes q and r; the
-    result has exactly m^3 elements.
+    Needs m distinct primes p_1..p_m plus two further primes q and r; by
+    unique factorization the m^3 products are then distinct.
     """
     primes = list(primes)
     if not isinstance(m, int) or m < 2:
@@ -185,12 +185,8 @@ def triple_prime_family(primes: Sequence[int], q: int, r: int, m: int) -> Diviso
         raise BadParamsError(f"needs at least {m} block primes, got {len(primes)}")
     primes = primes[:m]
     _require_distinct_primes(primes + [q, r], "primes")
-    xs = [r ** (i - 1) * q ** k * primes[i - 1] ** l
-          for i in range(1, m + 1) for k in range(m) for l in range(m)]
-    poset = DivisorPoset(xs)
-    if poset.n != m ** 3:
-        raise BadParamsError("prime choice made family elements collide")
-    return poset
+    return DivisorPoset(r ** (i - 1) * q ** k * primes[i - 1] ** l
+                        for i in range(1, m + 1) for k in range(m) for l in range(m))
 
 
 def cube_instances() -> tuple[DivisorPoset, DivisorPoset, DivisorPoset]:
@@ -397,14 +393,12 @@ def search_max_iplus(n: int, universes: Iterable[int] | None = None) -> SearchRe
 
 def is_cube_isomorphic(p: DivisorPoset) -> bool:
     """True when the divisibility order of the set is the cube: a bottom,
-    three atoms, three elements each over a distinct pair of atoms, a top."""
-    if p.n != 8 or not p.gcd_closed:
-        return False
-    down_sizes = [bin(m).count("1") for m in p._down]
-    if sorted(down_sizes) != [1, 2, 2, 2, 4, 4, 4, 8]:
-        return False
-    mids = [i for i in range(8) if down_sizes[i] == 4]
-    pairs = [p.covered(i) for i in mids]
-    if any(len(pair) != 2 for pair in pairs):
-        return False
-    return len({frozenset(pair) for pair in pairs}) == 3
+    three atoms, three elements each over a distinct pair of atoms, a top.
+
+    On a gcd-closed set of 8 the down-set sizes 1, 2, 2, 2, 4, 4, 4, 8 force
+    it.  A member with 4 lies above exactly two atoms, as only the bottom and
+    the atoms have smaller down-sets.  Two such members over the same pair
+    would have their gcd in the set, above both atoms: a fifth member below one.
+    """
+    return p.n == 8 and p.gcd_closed and \
+        sorted(map(int.bit_count, p._down)) == [1, 2, 2, 2, 4, 4, 4, 8]

@@ -195,6 +195,23 @@ class TestAnalyze:
             assert err == (f"error: integer too long: {len(token)} characters, "
                            f"past this Python's limit of {limit} digits\n")
 
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                        reason="this Python runs with no int <-> str digit limit")
+    def test_family_elements_past_the_digit_limit(self, capsys):
+        # Two 25-digit primes and exponents up to 14: the largest of the 225
+        # elements has 687 digits, past a limit of 640, yet prints in full.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run_cli(["family", "grid", "--p", "3317044064679887385961813",
+                                    "--q", "3317044064679887385961801", "--m", "15", "--json"],
+                                   capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert '"n": 225' in out
+        assert max(map(len, json.loads(out)["elements"])) == 687
+
     def test_a_long_bad_token_is_cut_in_the_message(self, capsys):
         token = "1" * (sys.get_int_max_str_digits() + 100) + "x"
         code, out, err = run_cli(["analyze", "1", token], capsys)
@@ -340,6 +357,27 @@ class TestMobius:
         assert code == 2
         assert err == "error: set is not gcd closed; pass --close to use its closure\n"
         assert run_cli(["mobius", "2", "3", "--close"], capsys)[0] == 0
+
+    @pytest.mark.parametrize("method", ["recursive", "zeta"])
+    @pytest.mark.parametrize("xs", [divisors(36), (1, 2, 3, 9, 10, 14, 51, 99, 117, 1531530),
+                                    tuple(map(int, CUBE))])
+    def test_each_column_is_the_tables_column(self, capsys, method, xs):
+        code, out, _ = run_cli(["mobius", "--json", "--method", method, *map(str, xs)], capsys)
+        assert code == 0
+        table = json.loads(out)["table"]
+        for i, x in enumerate(xs):
+            code, out, _ = run_cli(["mobius", "--json", "--method", method, "--column", str(x),
+                                    *map(str, xs)], capsys)
+            assert code == 0
+            assert json.loads(out) == {"element": str(x), "method": method,
+                                       "column": {str(y): row[i] for y, row in zip(xs, table)}}
+
+    @pytest.mark.parametrize("column", [[], ["--column", "30"]])
+    def test_closed_form_at_the_cube_top_exits_one(self, capsys, column):
+        code, out, err = run_cli(["mobius", "--json", "--method", "closed-form", *column, *CUBE],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: element 30: core of its covered set has width > 2\n"
 
     def test_column_value_missing_exits_one(self, capsys):
         assert run_cli(["mobius", "1", "2", "--column", "7"], capsys)[0] == 1

@@ -202,6 +202,14 @@ class TestTriplePrime:
             expected = (m ** 3 - m ** 2 - m + 2, m ** 2 + m - 2, 0)
             assert inertia_from_psi(p).as_tuple() == expected
 
+    @pytest.mark.parametrize("primes, q, r", [((5, 7, 11, 13), 2, 3), ((2, 3, 5, 7), 11, 13),
+                                              ((97, 89, 83, 79), 3, 2), ((3, 11, 2, 29), 5, 7)])
+    def test_m_cubed_closed_elements_for_any_distinct_primes(self, primes, q, r):
+        # Unique factorization keeps the products distinct: no recount needed.
+        for m in (2, 3, 4):
+            p = triple_prime_family(primes, q, r, m)
+            assert p.n == m ** 3 and is_gcd_closed(p)
+
     def test_validation(self):
         with pytest.raises(BadParamsError):
             triple_prime_family((5,), 2, 3, 2)  # not enough block primes
@@ -246,6 +254,13 @@ class TestCubeRecognition:
         assert not is_cube_isomorphic(build_poset(divisors(24)))      # wrong shape
         assert not is_cube_isomorphic(build_poset([1, 2, 4, 8, 16, 32, 64, 128]))
         assert not is_cube_isomorphic(build_poset([2, 3, 5, 7, 11, 13, 17, 19]))
+
+    def test_cube_sizes_on_a_set_that_is_not_gcd_closed(self):
+        # The cube's down-set sizes, but 42 and 66 are over the same pair of
+        # atoms and their gcd 6 is missing.
+        p = build_poset([1, 2, 3, 5, 15, 42, 66, 2310])
+        assert sorted(map(int.bit_count, p._down)) == [1, 2, 2, 2, 4, 4, 4, 8]
+        assert not is_cube_isomorphic(p)
 
 
 class TestEnumeration:

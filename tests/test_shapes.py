@@ -124,6 +124,15 @@ def test_at_eight_the_one_shape_with_a_non_generator_is_the_cube():
     assert len(others) == 1 and is_cube_isomorphic(others[0])
 
 
+def test_the_cube_is_the_one_shape_up_to_eight_recognized_on_both_labellings():
+    # is_cube_isomorphic reads down-set sizes only; over every shape they pick
+    # out the cube's, whichever primes label it.
+    cube = _canonical(build_poset([1, 2, 3, 5, 6, 10, 15, 30])._down)
+    for squares in (False, True):
+        assert [down for n in range(1, 9) for down in shapes(n)
+                if is_cube_isomorphic(realize(down, squares))] == [cube]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_closed_form_matches_the_zeta_and_recursive_columns_on_both_labellings(n):
     for down in shapes(n):
